@@ -4,7 +4,7 @@
 Runs the AST checker in :mod:`repro.analysis.lint` over the source tree
 (seeded RNG discipline, fused-op parity oracles, no_grad in eval paths,
 Parameter registration, substrate dtype discipline, buffer aliasing,
-plan-signature coverage), plus an ``unseeded-rng`` sweep over
+atomic persistence), plus an ``unseeded-rng`` sweep over
 ``scripts/``, prints a human summary, writes a machine-readable report
 to ``LINT_report.json`` (including the float64 exemption table and
 per-plan memory-footprint estimates from the dataflow analyzer), and

@@ -10,13 +10,12 @@ Three halves:
   report helpers it shares with ``scripts/perf_smoke.py``;
 * :mod:`repro.analysis.signatures` + :mod:`repro.analysis.dataflow` —
   the abstract shape/dtype interpreter: per-op transfer functions, the
-  FrozenPlan verifier run at ``freeze()`` time, the runtime
-  cross-validator, and abstract memory-footprint estimates.
+  FrozenPlan verifier run at ``freeze()`` time over the same step
+  programs that serve, and abstract memory-footprint estimates.
 """
 
-from .dataflow import (PlanVerificationError, cross_validate,
-                       default_plan_footprints, memory_footprint,
-                       record_executor_calls, run_program, verify_plan)
+from .dataflow import (PlanVerificationError, default_plan_footprints,
+                       memory_footprint, run_program, verify_plan)
 from .datasets import (GraphReport, compare_datasets, gini_coefficient,
                        graph_report, length_histogram, noise_report,
                        popularity_report, short_sequence_fraction)
@@ -35,7 +34,6 @@ __all__ = [
     "finish", "write_json_report",
     "AbstractValue", "FLOAT64_POLICY", "SIGNATURES", "SignatureError",
     "aval", "signature",
-    "PlanVerificationError", "cross_validate", "default_plan_footprints",
-    "memory_footprint", "record_executor_calls", "run_program",
-    "verify_plan",
+    "PlanVerificationError", "default_plan_footprints", "memory_footprint",
+    "run_program", "verify_plan",
 ]

@@ -1,40 +1,32 @@
 """Abstract interpretation over FrozenPlan programs.
 
-The serving layer compiles every model into a pure-NumPy
-:class:`~repro.serve.plan.FrozenPlan` whose forward pass is also
-available as *data*: ``plan.program()`` returns a step list
-(``{"op", "in", "out", "traced", "params"}``) over named intermediate
-values, with weights recorded as ``{shape, dtype, nbytes}`` descriptors.
-This module executes those programs **symbolically** — every value is a
-:class:`~repro.analysis.signatures.AbstractValue` ``(shape, dtype)``
-lattice point with the batch axis symbolic (``"B"``) — by applying the
-per-op transfer functions registered in
-:mod:`repro.analysis.signatures`.
+A compiled :class:`~repro.serve.plan.FrozenPlan` *is* its step
+programs: ``plan.programs`` maps ``"encode"``, ``"score"`` and the
+optional ``"tight"`` / ``"append"`` / ``"readout"`` to step lists
+(``{"op", "in", "out", "params"}``) whose params hold the live weight
+arrays, and :mod:`repro.serve.program` runs exactly those steps to
+serve.  This module executes the same programs **symbolically** — every
+value is a :class:`~repro.analysis.signatures.AbstractValue`
+``(shape, dtype)`` lattice point with the batch axis symbolic (``"B"``)
+— by applying the per-op transfer functions registered in
+:mod:`repro.analysis.signatures`.  The verified program is the program
+that runs.
 
-Three clients:
+Two clients:
 
-* :func:`verify_plan` — walk the whole program and raise a structured
+* :func:`verify_plan` — walk every program and raise a structured
   :class:`PlanVerificationError` (plan name, step index, op) on any
-  shape/dtype mismatch between a step and the recorded weights.
-  ``freeze(model)`` calls this by default, so drift between
-  ``serve/plan.py`` and ``serve/executors.py`` fails at compile time,
-  not inside a serving worker.
+  shape/dtype mismatch between a step and its weights.
+  ``freeze(model)`` calls this by default, so a drifted weight layout
+  fails at compile time, not inside a serving worker.
 * :func:`memory_footprint` — concretize the inferred shapes at chosen
   batch sizes and report per-step/peak activation bytes plus resident
   weight bytes (the building block for the mmap-substrate bounded-RSS
   gate; surfaced in ``LINT_report.json``).
-* :func:`cross_validate` — sanitizer-style ground truthing: run one
-  *real* frozen forward with every executor wrapped in a depth-counting
-  recorder, then assert the recorded shapes/dtypes of each top-level
-  executor call match the inferred lattice values exactly.  Only steps
-  marked ``traced`` correspond to real ``X.<op>`` calls; NumPy glue
-  (broadcast adds, reshapes) is symbolic-only.
 """
 
 from __future__ import annotations
 
-import contextlib
-import types
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -44,8 +36,7 @@ from .signatures import SIGNATURES, AbstractValue, SignatureError
 
 __all__ = [
     "PlanVerificationError", "StepTrace", "plan_inputs", "run_program",
-    "verify_plan", "memory_footprint", "record_executor_calls",
-    "cross_validate", "default_plan_footprints",
+    "verify_plan", "memory_footprint", "default_plan_footprints",
 ]
 
 
@@ -74,7 +65,6 @@ class StepTrace:
 
     index: int
     op: str
-    traced: bool
     inputs: List[AbstractValue]
     outputs: List[AbstractValue]
 
@@ -136,70 +126,93 @@ def run_program(program: List[dict], env: Dict[str, AbstractValue],
                 plan=plan_name, step_index=index, op=op)
         for name, value in zip(out_names, outputs):
             env[name] = value
-        trace.append(StepTrace(index=index, op=op,
-                               traced=bool(step.get("traced")),
-                               inputs=inputs, outputs=list(outputs)))
+        trace.append(StepTrace(index=index, op=op, inputs=inputs,
+                               outputs=list(outputs)))
     return env, trace
 
 
-def verify_plan(plan) -> Optional[List[StepTrace]]:
-    """Abstract-interpret ``plan.program()`` end to end.
+def verify_plan(plan) -> Optional[Dict[str, List[StepTrace]]]:
+    """Abstract-interpret every program ``plan`` runs.
 
-    Returns the step trace on success, or None for fallback plans (a
-    live model graph has no compiled step list to verify).  Raises
-    :class:`PlanVerificationError` naming the offending step otherwise.
+    Returns ``{program name: step trace}`` — ``"forward"`` (encode +
+    score, plus the ANN pseudo-ops when an index is attached), then
+    ``"tight"``, ``"append"`` and ``"readout"`` where present — or None
+    for fallback plans (a live model graph has no program to verify).
+    The ``append`` program runs from the state a tight encode one item
+    short of the window produces.  Raises :class:`PlanVerificationError`
+    naming the offending program step otherwise.
     """
     if not getattr(plan, "supports_encode", True):
         return None
-    try:
-        program = plan.program()
-    except NotImplementedError:
-        return None
-    _, trace = run_program(program, plan_inputs(plan),
-                           plan_name=plan.model_name)
-    return trace
+    name, programs = plan.model_name, plan.programs
+    traces = {}
+    _, traces["forward"] = run_program(plan.program(), plan_inputs(plan),
+                                       plan_name=name)
+    if "tight" in programs:
+        _, traces["tight"] = run_program(programs["tight"],
+                                         plan_inputs(plan),
+                                         plan_name=f"{name} tight")
+    if "append" in programs:
+        env, _ = run_program(programs["tight"],
+                             plan_inputs(plan, plan.max_len - 1),
+                             plan_name=f"{name} tight")
+        state = {key: env[key] for key in plan.state_names}
+        env, traces["append"] = run_program(
+            programs["append"],
+            dict(state, item=AbstractValue(("B",), "int64")),
+            plan_name=f"{name} append")
+        _, traces["readout"] = run_program(
+            programs["readout"], {key: env[key] for key in plan.state_names},
+            plan_name=f"{name} readout")
+    return traces
 
 
 # ---------------------------------------------------------------------------
 # Memory footprint
 # ---------------------------------------------------------------------------
 
-def _weight_bytes(params) -> int:
-    """Sum ``nbytes`` over every weight descriptor nested in ``params``."""
-    if isinstance(params, dict):
-        if {"shape", "dtype", "nbytes"} <= set(params):
-            return int(params["nbytes"])
-        return sum(_weight_bytes(value) for value in params.values())
-    if isinstance(params, (list, tuple)):
-        return sum(_weight_bytes(value) for value in params)
-    return 0
+def _weight_bytes(plan) -> int:
+    """Bytes of every distinct weight array the plan's programs hold
+    (steps share arrays across programs; each counts once)."""
+    arrays: Dict[int, int] = {}
+
+    def visit(value) -> None:
+        if isinstance(value, np.ndarray):
+            arrays[id(value)] = int(value.nbytes)
+        elif isinstance(value, dict):
+            for item in value.values():
+                visit(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                visit(item)
+
+    for program in [plan.program(), *plan.programs.values()]:
+        for entry in program:
+            visit(entry["params"])
+    return sum(arrays.values())
 
 
 def memory_footprint(plan, batch_sizes: Iterable[int] = (1, 64)
                      ) -> Optional[dict]:
     """Per-step activation bytes and resident weight bytes for ``plan``.
 
-    Shapes come from the abstract interpreter, concretized at each batch
-    size: ``activations[batch]`` reports the peak single-step output
-    allocation (index + op named) and the total across all steps.
-    ``weight_bytes`` sums every weight descriptor in the program —
-    ``item_table`` and its transposed ``table_t`` count separately
-    because both are materialized.  None for fallback plans.
+    Shapes come from the abstract interpreter over the forward program,
+    concretized at each batch size: ``activations[batch]`` reports the
+    peak single-step output allocation (index + op named) and the total
+    across all steps.  ``weight_bytes`` sums every distinct weight array
+    the programs hold — ``item_table`` and its transposed ``table_t``
+    count separately because both are materialized.  None for fallback
+    plans.
     """
-    if not getattr(plan, "supports_encode", True):
+    traces = verify_plan(plan)
+    if traces is None:
         return None
-    try:
-        program = plan.program()
-    except NotImplementedError:
-        return None
-    _, trace = run_program(program, plan_inputs(plan),
-                           plan_name=plan.model_name)
+    trace = traces["forward"]
     report = {
         "model": plan.model_name,
         "max_len": int(plan.max_len),
         "steps": len(trace),
-        "weight_bytes": sum(_weight_bytes(step.get("params", {}))
-                            for step in program),
+        "weight_bytes": _weight_bytes(plan),
         "activations": {},
     }
     for batch in batch_sizes:
@@ -236,140 +249,3 @@ def default_plan_footprints(num_items: int = 48, dim: int = 16,
         if footprint is not None:
             footprints.append(footprint)
     return footprints
-
-
-# ---------------------------------------------------------------------------
-# Runtime cross-validation
-# ---------------------------------------------------------------------------
-
-class ExecutorTrace:
-    """Shapes/dtypes of top-level executor calls during one forward."""
-
-    def __init__(self):
-        self.events: List[dict] = []
-        self.depth = 0
-
-
-@contextlib.contextmanager
-def record_executor_calls():
-    """Wrap every public ``serve.executors`` function with a recorder.
-
-    Only *top-level* calls are recorded: executors that call each other
-    (``transformer_encoder`` → ``transformer_layer`` → ``attention``,
-    ``conv1d_relu_pool`` → ``relu``, ``gru_forward`` → ``gru_step``)
-    produce one event for the outermost call, matching the granularity
-    of the plans' ``traced`` program steps.  Plan code looks executors
-    up as module attributes at call time, so patching the module
-    attribute intercepts every call site.
-    """
-    from ..serve import executors
-
-    recorder = ExecutorTrace()
-    originals: Dict[str, types.FunctionType] = {}
-
-    def wrap(name, fn):
-        def recording(*args, **kwargs):
-            recorder.depth += 1
-            try:
-                out = fn(*args, **kwargs)
-            finally:
-                recorder.depth -= 1
-            if recorder.depth == 0:
-                arrays = [a for a in args if isinstance(a, np.ndarray)]
-                recorder.events.append({
-                    "op": name,
-                    "first_input": (
-                        (tuple(arrays[0].shape), str(arrays[0].dtype))
-                        if arrays else None),
-                    "output": (tuple(out.shape), str(out.dtype)),
-                })
-            return out
-        return recording
-
-    for name in dir(executors):
-        fn = getattr(executors, name)
-        if name.startswith("_") or not isinstance(fn, types.FunctionType):
-            continue
-        originals[name] = fn
-        setattr(executors, name, wrap(name, fn))
-    try:
-        yield recorder
-    finally:
-        for name, fn in originals.items():
-            setattr(executors, name, fn)
-
-
-def cross_validate(plan, batch: int = 3, seed: int = 0) -> int:
-    """Assert runtime shapes/dtypes match the inferred lattice exactly.
-
-    Runs one real ``plan.forward`` over a seeded full-length batch with
-    every executor call recorded, then matches each ``traced`` program
-    step against the recorded events (per-op FIFO — program order is
-    execution order).  Both the output and the first array input of
-    every call must equal the abstract values with ``"B"`` bound to the
-    real batch size.  Returns the number of matched traced steps;
-    raises :class:`PlanVerificationError` on any divergence, including
-    runtime executor calls the program does not declare.
-    """
-    program = plan.program()
-    _, trace = run_program(program, plan_inputs(plan),
-                           plan_name=plan.model_name)
-
-    rng = np.random.default_rng(seed)
-    length = int(plan.max_len)
-    items = rng.integers(1, plan.item_table.shape[0],
-                         size=(batch, length), dtype=np.int64)
-    mask = np.ones((batch, length), dtype=bool)
-    users = None
-    user_table = getattr(plan, "user_table", None)
-    if user_table is not None:
-        users = rng.integers(0, user_table.shape[0], size=batch,
-                             dtype=np.int64)
-
-    with record_executor_calls() as recorder:
-        plan.forward(items, mask, users)
-
-    events_by_op: Dict[str, List[dict]] = {}
-    for event in recorder.events:
-        events_by_op.setdefault(event["op"], []).append(event)
-
-    matched = 0
-    for entry in trace:
-        if not entry.traced:
-            continue
-        queue = events_by_op.get(entry.op)
-        if not queue:
-            raise PlanVerificationError(
-                f"program declares a traced {entry.op!r} step but the "
-                f"runtime recorded no matching executor call",
-                plan=plan.model_name, step_index=entry.index, op=entry.op)
-        event = queue.pop(0)
-        expected = (entry.outputs[0].concretize(batch),
-                    entry.outputs[0].dtype)
-        observed = (tuple(event["output"][0]), event["output"][1])
-        if expected != observed:
-            raise PlanVerificationError(
-                f"inferred output {expected[1]}{list(expected[0])} but "
-                f"the runtime produced {observed[1]}{list(observed[0])}",
-                plan=plan.model_name, step_index=entry.index, op=entry.op)
-        if event["first_input"] is not None and entry.inputs:
-            expected_in = (entry.inputs[0].concretize(batch),
-                           entry.inputs[0].dtype)
-            observed_in = (tuple(event["first_input"][0]),
-                           event["first_input"][1])
-            if expected_in != observed_in:
-                raise PlanVerificationError(
-                    f"inferred input {expected_in[1]}"
-                    f"{list(expected_in[0])} but the runtime passed "
-                    f"{observed_in[1]}{list(observed_in[0])}",
-                    plan=plan.model_name, step_index=entry.index,
-                    op=entry.op)
-        matched += 1
-
-    unmatched = {op: len(queue) for op, queue in events_by_op.items()
-                 if queue}
-    if unmatched:
-        raise PlanVerificationError(
-            f"runtime recorded executor calls with no traced program "
-            f"step: {unmatched}", plan=plan.model_name)
-    return matched

@@ -56,8 +56,10 @@ rules:
     the content-addressed run cache.
 
 ``atomic-persistence``
-    The persistence modules (``runs.py``, ``train/checkpoint.py``) must
-    write artifacts through :mod:`repro.resilience.atomic` — no direct
+    The persistence modules (run store ``runs.py``, ``train/
+    checkpoint.py``, the event log ``data/eventlog.py`` and the online
+    fine-tune store ``train/online.py``) must write artifacts through
+    :mod:`repro.resilience.atomic` — no direct
     ``Path.write_text``/``write_bytes``, ``np.save``/``np.savez``, or
     ``open(..., "w")``.  In-place writes leave torn files behind a
     crash; the atomic helpers publish via temp file + ``os.replace``.
@@ -81,15 +83,6 @@ rules:
     aliasing), and methods must not ``return`` a reused ``self._buf*``
     scratch buffer (the next call silently overwrites the caller's
     result).
-
-``plan-signature``
-    Every public executor kernel (``serve/executors.py``) and every
-    ``X.<op>(...)`` call in ``serve/plan.py`` must have a transfer
-    function registered in ``analysis/signatures.py``, and every
-    ``FrozenPlan`` subclass must define a ``program()`` or
-    ``encode_program()`` — otherwise the plan verifier
-    (:mod:`repro.analysis.dataflow`) cannot check the plan at freeze
-    time and shape drift survives to a serving worker.
 
 ``bounded-memory``
     The out-of-core streaming modules (``data/store.py``,
@@ -182,14 +175,11 @@ MODEL_CLASS_NAMES = frozenset({
 MODEL_REGISTRY_DICTS = frozenset({"BACKBONES", "EXTENSION_BACKBONES",
                                   "DENOISERS", "MODELS"})
 
-#: Modules that persist run-store / checkpoint artifacts: every write
+#: Modules that persist run-store / checkpoint artifacts, the
+#: append-only event log and the online fine-tune entries: every write
 #: must go through repro.resilience.atomic (write-then-``os.replace``).
-PERSISTENCE_MODULES = ("runs.py", "train/checkpoint.py")
-
-#: Modules that persist the append-only event log and the online
-#: fine-tune entries: same atomicity contract, separate rule so the
-#: online-learning surface is auditable on its own.
-EVENTLOG_MODULES = ("data/eventlog.py", "train/online.py")
+PERSISTENCE_MODULES = ("runs.py", "train/checkpoint.py",
+                       "data/eventlog.py", "train/online.py")
 
 #: Call spellings that write a file in place (non-atomically).
 _NONATOMIC_WRITE_ATTRS = {"write_text", "write_bytes"}
@@ -204,15 +194,6 @@ _DTYPE_ALLOCATORS = {"zeros": 2, "ones": 2, "empty": 2, "full": 3}
 
 #: Matmul-family ufuncs that read every input while writing ``out=``.
 _MATMUL_FAMILY = {"matmul", "dot", "tensordot", "einsum"}
-
-#: The executor module / plan compiler / signature registry triple the
-#: ``plan-signature`` rule keeps in sync.
-EXECUTORS_MODULE = "serve/executors.py"
-PLAN_MODULE = "serve/plan.py"
-SIGNATURES_MODULE = "analysis/signatures.py"
-
-#: Executor-alias name used by plan.py (``from . import executors as X``).
-_EXECUTOR_ALIAS = "X"
 
 #: Out-of-core streaming modules: every pass must stay windowed, so
 #: whole-column materialisation patterns are banned outright.
@@ -671,12 +652,13 @@ def _is_write_open(node: ast.Call) -> bool:
     return any(flag in mode.value for flag in ("w", "a", "+", "x"))
 
 
-def _nonatomic_writes(project: Project, modules, rule_name: str
-                      ) -> List[Violation]:
-    """Flag in-place file writes in ``modules`` (shared by the
-    atomic-persistence and event-log-atomic rules)."""
+@rule("atomic-persistence",
+      "run-store, checkpoint, event-log and online fine-tune modules must "
+      "persist through repro.resilience.atomic (write-then-os.replace), "
+      "never via direct write_text/write_bytes/np.save*/open(..., 'w')")
+def check_atomic_persistence(project: Project) -> List[Violation]:
     violations: List[Violation] = []
-    for rel in modules:
+    for rel in PERSISTENCE_MODULES:
         tree = project.modules.get(rel)
         if tree is None:
             continue
@@ -704,28 +686,10 @@ def _nonatomic_writes(project: Project, modules, rule_name: str
                            "use repro.resilience.atomic")
             if message is not None:
                 violations.append(Violation(
-                    rule=rule_name,
+                    rule="atomic-persistence",
                     path=project.display_path(rel), line=node.lineno,
                     message=message))
     return violations
-
-
-@rule("atomic-persistence",
-      "run-store and checkpoint modules must persist through "
-      "repro.resilience.atomic (write-then-os.replace), never via direct "
-      "write_text/write_bytes/np.save*/open(..., 'w')")
-def check_atomic_persistence(project: Project) -> List[Violation]:
-    return _nonatomic_writes(project, PERSISTENCE_MODULES,
-                             "atomic-persistence")
-
-
-@rule("event-log-atomic",
-      "the event log and online fine-tune store must persist through "
-      "repro.resilience.atomic — segments and the manifest commit marker "
-      "may never be written in place")
-def check_eventlog_atomic(project: Project) -> List[Violation]:
-    return _nonatomic_writes(project, EVENTLOG_MODULES,
-                             "event-log-atomic")
 
 
 def _float64_pins(tree: ast.Module) -> List[ast.AST]:
@@ -852,96 +816,6 @@ def check_buffer_aliasing(project: Project) -> List[Violation]:
                                          f"storage; update in place with "
                                          f"an augmented assignment "
                                          f"(p.data -= ...)")))
-    return violations
-
-
-def _registered_signature_names(project: Project) -> Optional[Set[str]]:
-    """Op names registered via ``@signature(...)`` in the signatures
-    module, parsed statically (string-constant decorator args)."""
-    tree = project.modules.get(SIGNATURES_MODULE)
-    if tree is None:
-        return None
-    names: Set[str] = set()
-    for fn in _module_functions(tree):
-        for dec in fn.decorator_list:
-            if not isinstance(dec, ast.Call):
-                continue
-            if (_call_name(dec) or "").split(".")[-1] != "signature":
-                continue
-            for arg in dec.args:
-                if isinstance(arg, ast.Constant) and \
-                        isinstance(arg.value, str):
-                    names.add(arg.value)
-    return names
-
-
-@rule("plan-signature",
-      "every public executor kernel and every X.<op>() plan call needs a "
-      "registered transfer function, and every FrozenPlan subclass needs "
-      "a program()/encode_program()")
-def check_plan_signature(project: Project) -> List[Violation]:
-    registered = _registered_signature_names(project)
-    executors = project.modules.get(EXECUTORS_MODULE)
-    plan = project.modules.get(PLAN_MODULE)
-    if registered is None:
-        if executors is None and plan is None:
-            return []  # tree has no serving layer to check
-        registered = set()
-    violations: List[Violation] = []
-    if executors is not None:
-        for fn in _module_functions(executors):
-            if fn.name.startswith("_") or fn.name in registered:
-                continue
-            violations.append(Violation(
-                rule="plan-signature",
-                path=project.display_path(EXECUTORS_MODULE),
-                line=fn.lineno,
-                message=(f"executor {fn.name!r} has no transfer function "
-                         f"in {SIGNATURES_MODULE}; register one with "
-                         f'@signature("{fn.name}") so the plan verifier '
-                         f"can check its steps")))
-    if plan is None:
-        return violations
-    for node in ast.walk(plan):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == _EXECUTOR_ALIAS
-                and node.func.attr not in registered):
-            violations.append(Violation(
-                rule="plan-signature",
-                path=project.display_path(PLAN_MODULE), line=node.lineno,
-                message=(f"plan compiler calls "
-                         f"{_EXECUTOR_ALIAS}.{node.func.attr}() but "
-                         f"{SIGNATURES_MODULE} registers no "
-                         f"{node.func.attr!r} signature")))
-    classes = {n.name: n for n in plan.body if isinstance(n, ast.ClassDef)}
-    bases = {
-        name: [(_attr_chain(b) or getattr(b, "id", "")).split(".")[-1]
-               for b in cls.bases]
-        for name, cls in classes.items()}
-
-    def is_frozen_plan(name: str, seen: Optional[Set[str]] = None) -> bool:
-        if name == "FrozenPlan":
-            return True
-        seen = seen or set()
-        if name in seen:
-            return False
-        seen.add(name)
-        return any(is_frozen_plan(b, seen) for b in bases.get(name, ()))
-
-    for name, cls in classes.items():
-        if name == "FrozenPlan" or not is_frozen_plan(name):
-            continue
-        methods = {n.name for n in cls.body
-                   if isinstance(n, ast.FunctionDef)}
-        if not ({"program", "encode_program"} & methods):
-            violations.append(Violation(
-                rule="plan-signature",
-                path=project.display_path(PLAN_MODULE), line=cls.lineno,
-                message=(f"FrozenPlan subclass {name!r} defines neither "
-                         f"program() nor encode_program(); the verifier "
-                         f"cannot abstract-interpret its forward pass")))
     return violations
 
 

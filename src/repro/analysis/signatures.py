@@ -1,24 +1,23 @@
-"""Shape/dtype transfer functions for frozen-plan executor ops.
+"""Shape/dtype transfer functions for frozen-plan step ops.
 
 This module is the declarative half of the plan verifier
-(:mod:`repro.analysis.dataflow`): a registry mapping every executor op
-(:mod:`repro.serve.executors`) — plus the pseudo-ops plan programs use
-for NumPy glue (embedding lookups, broadcasts, concatenation) — to a
-*transfer function* over :class:`AbstractValue` lattice values.
+(:mod:`repro.analysis.dataflow`): a registry mapping every op a plan
+step program can run (the op table of :mod:`repro.serve.program`), plus
+the verifier-only ANN index pseudo-ops, to a *transfer function* over
+:class:`AbstractValue` lattice values.
 
 A lattice value is ``(shape, dtype)`` where each dimension is either a
 concrete ``int`` or a symbolic name (the batch axis is always the symbol
 ``"B"``; everything else is concrete at freeze time).  A transfer
-function receives the abstract inputs and the step's parameters (weight
-descriptors recorded from the real arrays at freeze time) and either
+function receives the abstract inputs and the step's parameters (the
+plan's live weight arrays and constants) and either
 returns the abstract outputs or raises :class:`SignatureError` with a
 message naming the mismatched operand.
 
-Adding an executor op
----------------------
-Every public function in ``repro.serve.executors`` must have an entry
-here — the ``plan-signature`` lint rule (:mod:`repro.analysis.lint`)
-fails the build otherwise.  Register with::
+Adding an op
+------------
+Give the kernel an entry in ``repro.serve.program.OPS`` and register
+its transfer function here (a test pins the two name sets equal)::
 
     @signature("my_op")
     def sig_my_op(ins, params):
@@ -27,8 +26,8 @@ fails the build otherwise.  Register with::
         return [x]
 
 ``ins`` is a list of :class:`AbstractValue`; ``params`` is the step's
-parameter dict where weights appear as ``{"shape": ..., "dtype": ...,
-"nbytes": ...}`` descriptors (convert with :func:`aval`).
+parameter dict, whose weights are the live arrays (convert with
+:func:`aval`).
 
 Float64 policy
 --------------
@@ -89,7 +88,8 @@ class AbstractValue:
 
 
 def aval(spec) -> AbstractValue:
-    """Coerce a weight descriptor / array / AbstractValue to a lattice value."""
+    """Coerce an array / weight descriptor / AbstractValue to a lattice
+    value."""
     if isinstance(spec, AbstractValue):
         return spec
     if isinstance(spec, np.ndarray):
@@ -163,9 +163,9 @@ def signature(*names: str):
 
 
 # ---------------------------------------------------------------------------
-# Executor-op signatures (mirror repro.serve.executors exactly)
+# Kernel signatures (mirror repro.serve.executors exactly)
 # ---------------------------------------------------------------------------
-@signature("sigmoid", "relu", "gelu", "tanh")
+@signature("sigmoid", "relu", "tanh")
 def sig_elementwise_activation(ins, params):
     (x,) = ins
     _require(_is_float(x), f"activation input must be float, got {x}")
@@ -194,18 +194,6 @@ def sig_linear(ins, params):
     return [AbstractValue(out_shape, dtype)]
 
 
-@signature("layer_norm")
-def sig_layer_norm(ins, params):
-    (x,) = ins
-    gamma, beta = aval(params["gamma"]), aval(params["beta"])
-    _require(_is_float(x), f"layer_norm input must be float, got {x}")
-    _require(gamma.shape == (x.shape[-1],) and beta.shape == (x.shape[-1],),
-             f"layer_norm affine {gamma}/{beta} does not match last axis "
-             f"of {x}")
-    return [AbstractValue(x.shape, _promote(x.dtype, gamma.dtype,
-                                            beta.dtype))]
-
-
 @signature("masked_softmax")
 def sig_masked_softmax(ins, params):
     x, mask = ins
@@ -213,19 +201,6 @@ def sig_masked_softmax(ins, params):
     _require(mask.dtype == "bool", f"mask must be bool, got {mask}")
     broadcast_shapes(mask.shape, x.shape)  # must be broadcastable
     return [AbstractValue(x.shape, _promote(x.dtype, "float64"))]
-
-
-@signature("attention")
-def sig_attention(ins, params):
-    q, k, v = ins[:3]
-    _require(q.ndim == k.ndim == v.ndim,
-             f"attention q/k/v rank mismatch: {q}, {k}, {v}")
-    _require(_dims_match(q.shape[-1], k.shape[-1]),
-             f"attention q {q} and k {k} disagree on head dim")
-    _require(_dims_match(k.shape[-2], v.shape[-2]),
-             f"attention k {k} and v {v} disagree on key length")
-    out_shape = q.shape[:-1] + (v.shape[-1],)
-    return [AbstractValue(out_shape, _promote(q.dtype, k.dtype, v.dtype))]
 
 
 def _check_transformer_layer(x: AbstractValue, layer: dict,
@@ -254,15 +229,6 @@ def _check_transformer_layer(x: AbstractValue, layer: dict,
                  f"layer {index}: {name} must be float64, got {w.dtype}")
 
 
-@signature("transformer_layer")
-def sig_transformer_layer(ins, params):
-    x, attn_mask = ins
-    _require(x.ndim == 3 and _is_float(x),
-             f"transformer_layer input must be float (B, L, d), got {x}")
-    _check_transformer_layer(x, params["params"], params["num_heads"], 0)
-    return [x]
-
-
 @signature("transformer_encoder")
 def sig_transformer_encoder(ins, params):
     x, attn_mask = ins
@@ -278,66 +244,67 @@ def sig_transformer_encoder(ins, params):
     broadcast_shapes(attn_mask.shape, scores)
     for index, layer in enumerate(params["layers"]):
         _check_transformer_layer(x, layer, num_heads, index)
+    _check_final_norm(params, d)
+    return [x]
+
+
+def _check_final_norm(params: dict, d) -> None:
     for name in ("final_g", "final_b"):
         w = aval(params[name])
         _require(w.shape == (d,),
                  f"final LayerNorm {name} has shape {w.shape}, "
                  f"expected ({d},)")
-    return [x]
-
-
-@signature("transformer_layer_kv")
-def sig_transformer_layer_kv(ins, params):
-    x, attn_mask = ins
-    _require(x.ndim == 3 and _is_float(x),
-             f"transformer_layer_kv input must be float (B, L, d), "
-             f"got {x}")
-    num_heads = int(params["num_heads"])
-    _check_transformer_layer(x, params["params"], num_heads, 0)
-    head_dim = x.shape[2] // num_heads
-    kv_shape = (x.shape[0], num_heads, x.shape[1], head_dim)
-    return [x, AbstractValue(kv_shape, _promote(x.dtype, "float64")),
-            AbstractValue(kv_shape, _promote(x.dtype, "float64"))]
 
 
 @signature("transformer_encoder_kv")
 def sig_transformer_encoder_kv(ins, params):
+    """Encoder that also yields each layer's K and V: ``hidden, k_0,
+    v_0, k_1, v_1, ...``, each ``(B, H, L, hd)``."""
     x, attn_mask = ins
     (hidden,) = sig_transformer_encoder(ins, params)
     num_heads = int(params["num_heads"])
-    head_dim = x.shape[2] // num_heads
-    cache = AbstractValue((x.shape[0], len(params["layers"]), 2,
-                           num_heads, x.shape[1], head_dim),
-                          _promote(x.dtype, "float64"))
-    return [hidden, cache]
+    kv = AbstractValue((x.shape[0], num_heads, x.shape[1],
+                        x.shape[2] // num_heads),
+                       _promote(x.dtype, "float64"))
+    return [hidden] + [kv] * (2 * len(params["layers"]))
 
 
 @signature("transformer_step_kv")
 def sig_transformer_step_kv(ins, params):
-    x, cache = ins
+    """One token through every layer against the per-layer K/V prefix
+    (``x, lengths, k_0, v_0, ...``); each prefix grows by one column.
+    Traced at the steady state, where a prefix holds exactly its valid
+    ``lengths`` columns."""
+    x, lengths, *kv = ins
     _require(x.ndim == 3 and _is_float(x),
              f"transformer_step_kv token must be float (B, 1, d), got {x}")
     _require(_dims_match(x.shape[1], 1),
              f"transformer_step_kv advances one token, got length "
              f"{x.shape[1]}")
-    _require(cache.ndim == 6,
-             f"KV cache must be 6-D (B, n, 2, H, t, hd), got {cache}")
+    _require(lengths.dtype in _INTS and lengths.shape == (x.shape[0],),
+             f"prefix lengths must be integer (B,), got {lengths}")
     num_heads = int(params["num_heads"])
+    layers = params["layers"]
     d = x.shape[2]
-    for index, layer in enumerate(params["layers"]):
+    for index, layer in enumerate(layers):
         _check_transformer_layer(x, layer, num_heads, index)
-    _require(_dims_match(cache.shape[1], len(params["layers"]))
-             and _dims_match(cache.shape[3], num_heads)
-             and _dims_match(cache.shape[5], d // num_heads),
-             f"KV cache {cache} does not match {len(params['layers'])} "
-             f"layers of {num_heads} heads over model dim {d}")
-    for name in ("final_g", "final_b"):
-        w = aval(params[name])
-        _require(w.shape == (d,),
-                 f"final LayerNorm {name} has shape {w.shape}, "
-                 f"expected ({d},)")
-    return [AbstractValue((x.shape[0], d), _promote(x.dtype, "float64")),
-            AbstractValue(cache.shape, _promote(cache.dtype, "float64"))]
+    _check_final_norm(params, d)
+    _require(len(kv) == 2 * len(layers),
+             f"{len(layers)} layers need {2 * len(layers)} K/V prefixes, "
+             f"got {len(kv)}")
+    for value in kv:
+        _require(value.ndim == 4 and value.dtype == "float64"
+                 and value.shape == kv[0].shape
+                 and _dims_match(value.shape[0], x.shape[0])
+                 and _dims_match(value.shape[1], num_heads)
+                 and _dims_match(value.shape[3], d // num_heads),
+                 f"K/V prefix {value} does not match {num_heads} heads "
+                 f"over model dim {d}")
+    width = kv[0].shape[2]
+    grown = AbstractValue(kv[0].shape[:2] + (
+        width + 1 if isinstance(width, int) else width, kv[0].shape[3]),
+        "float64")
+    return [AbstractValue((x.shape[0], d), "float64")] + [grown] * len(kv)
 
 
 @signature("gru_forward")
@@ -418,7 +385,7 @@ def sig_conv1d_relu_pool(ins, params):
     kernel = int(params["kernel"])
     _require(image.ndim == 3 and _is_float(image),
              f"conv1d_relu_pool needs float (B, C, L) image, got {image}")
-    channels, length = image.shape[1], image.shape[2]
+    channels = image.shape[1]
     _require(weight.ndim == 2
              and _dims_match(weight.shape[1], channels * kernel),
              f"conv weight {weight} must be (out_channels, "
@@ -426,15 +393,13 @@ def sig_conv1d_relu_pool(ins, params):
     out_channels = weight.shape[0]
     _require(bias.shape == (out_channels,),
              f"conv bias {bias} must have shape ({out_channels},)")
-    if isinstance(length, int):
-        _require(length >= kernel or params.get("allow_short", False),
-                 f"kernel {kernel} exceeds sequence length {length}")
+    # A sequence shorter than the kernel yields zero features.
     return [AbstractValue((image.shape[0], out_channels),
                           _promote(image.dtype, weight.dtype))]
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-ops: NumPy glue recorded in plan programs
+# Glue ops: lookups, positions, masks, reshapes, the SSDRec gate, score
 # ---------------------------------------------------------------------------
 @signature("embed")
 def sig_embed(ins, params):
@@ -450,17 +415,51 @@ def sig_embed(ins, params):
 def sig_add_positions(ins, params):
     (x,) = ins
     positions = aval(params["positions"])
-    length = int(params.get("length", x.shape[1]))
     _require(x.ndim == 3 and _is_float(x),
              f"add_positions needs float (B, L, d), got {x}")
     _require(positions.ndim == 2
              and _dims_match(positions.shape[1], x.shape[2]),
              f"position table {positions} does not match model dim "
              f"{x.shape[2]}")
-    _require(positions.shape[0] >= length,
+    _require(positions.shape[0] >= x.shape[1],
              f"position table holds {positions.shape[0]} rows but the "
-             f"plan addresses {length} positions")
+             f"plan addresses {x.shape[1]} positions")
     return [AbstractValue(x.shape, _promote(x.dtype, positions.dtype))]
+
+
+@signature("add_tight_positions")
+def sig_add_tight_positions(ins, params):
+    x, mask = ins
+    _require(mask.dtype == "bool" and mask.shape == x.shape[:2],
+             f"add_tight_positions mask {mask} must be bool (B, L) "
+             f"for {x}")
+    return sig_add_positions([x], params)
+
+
+@signature("add_position_at")
+def sig_add_position_at(ins, params):
+    token, lengths = ins
+    positions = aval(params["positions"])
+    _require(token.ndim == 2 and _is_float(token),
+             f"add_position_at needs a float (B, d) token, got {token}")
+    _require(lengths.dtype in _INTS and lengths.shape == token.shape[:1],
+             f"prefix lengths must be integer (B,), got {lengths}")
+    _require(positions.ndim == 2
+             and _dims_match(positions.shape[1], token.shape[1])
+             and positions.shape[0] >= 1,
+             f"position table {positions} cannot place a model-dim "
+             f"{token.shape[1]} token")
+    return [AbstractValue((token.shape[0], 1, token.shape[1]),
+                          _promote(token.dtype, positions.dtype))]
+
+
+@signature("count_valid", "advance_length")
+def sig_lengths(ins, params):
+    (x,) = ins
+    _require(x.ndim in (1, 2) and (x.dtype == "bool" or x.dtype in _INTS),
+             f"lengths come from a bool (B, L) mask or int (B,) counts, "
+             f"got {x}")
+    return [AbstractValue(x.shape[:1], "int64")]
 
 
 @signature("causal_attn_mask")
@@ -496,68 +495,6 @@ def sig_extend_mask_token(ins, params):
             AbstractValue((batch, length + 1), "bool")]
 
 
-@signature("kv_cache_prefix")
-def sig_kv_cache_prefix(ins, params):
-    """Per-user incremental state: the KV prefix a tight encode caches.
-
-    Describes the at-capacity layout — each layer's ``(B, H, L, hd)``
-    key/value tensors stacked as ``(B, n_layers, 2, H, L, hd)``; valid
-    positions occupy each row's trailing columns (left padding).
-    """
-    x, attn = ins
-    _require(x.ndim == 3 and _is_float(x),
-             f"kv_cache_prefix needs float (B, L, d) states, got {x}")
-    _require(attn.dtype == "bool" and attn.ndim == 4,
-             f"kv_cache_prefix needs the bool 4-D attention mask, "
-             f"got {attn}")
-    num_layers = int(params["num_layers"])
-    num_heads = int(params["num_heads"])
-    head_dim = int(params["head_dim"])
-    d = x.shape[2]
-    _require(_dims_match(d, num_heads * head_dim),
-             f"model dim {d} != num_heads {num_heads} * head_dim "
-             f"{head_dim}")
-    _require(num_layers >= 1, "KV cache needs at least one layer")
-    return [AbstractValue((x.shape[0], num_layers, 2, num_heads,
-                           x.shape[1], head_dim), "float64")]
-
-
-@signature("kv_step_token")
-def sig_kv_step_token(ins, params):
-    """Advance the KV prefix by one item: embed + position, then the
-    single-token attention step through every layer.  Capacity is
-    unchanged — the serving layer re-encodes at window rollover instead
-    of sliding positions."""
-    items, cache = ins
-    _require(items.dtype in _INTS,
-             f"kv_step_token item ids must be integer, got {items}")
-    _require(cache.ndim == 6 and cache.dtype == "float64",
-             f"KV cache must be float64 (B, n, 2, H, t, hd), got {cache}")
-    table, positions = aval(params["table"]), aval(params["positions"])
-    num_heads = int(params["num_heads"])
-    layers = params["layers"]
-    d = table.shape[1]
-    _require(positions.ndim == 2 and _dims_match(positions.shape[1], d),
-             f"position table {positions} does not match model dim {d}")
-    _require(positions.shape[0] >= 1,
-             f"position table holds no rows; cannot place a new token")
-    _require(_dims_match(cache.shape[1], len(layers))
-             and _dims_match(cache.shape[3], num_heads)
-             and _dims_match(cache.shape[5], d // num_heads),
-             f"KV cache {cache} does not match {len(layers)} layers of "
-             f"{num_heads} heads over model dim {d}")
-    token = AbstractValue((cache.shape[0], 1, d), "float64")
-    for index, layer in enumerate(layers):
-        _check_transformer_layer(token, layer, num_heads, index)
-    for name in ("final_g", "final_b"):
-        w = aval(params[name])
-        _require(w.shape == (d,),
-                 f"final LayerNorm {name} has shape {w.shape}, "
-                 f"expected ({d},)")
-    return [AbstractValue((cache.shape[0], d), "float64"),
-            AbstractValue(cache.shape, "float64")]
-
-
 @signature("take_last")
 def sig_take_last(ins, params):
     (states,) = ins
@@ -588,6 +525,13 @@ def sig_sum_last(ins, params):
     (x,) = ins
     _require(x.ndim >= 1, f"sum_last needs at least 1-D input, got {x}")
     return [AbstractValue(x.shape[:-1], _promote(x.dtype, "float64"))]
+
+
+@signature("scale")
+def sig_scale(ins, params):
+    (x,) = ins
+    _require(_is_float(x), f"scale needs a float input, got {x}")
+    return [AbstractValue(x.shape, _promote(x.dtype, "float64"))]
 
 
 @signature("add", "mul")
@@ -695,13 +639,6 @@ def sig_threshold_keep(ins, params):
              f"threshold_keep mask {mask} must match gate {soft}")
     return [AbstractValue(soft.shape, "float64"),
             AbstractValue(soft.shape, "bool")]
-
-
-@signature("const_zeros")
-def sig_const_zeros(ins, params):
-    _require(not ins, "const_zeros takes no inputs")
-    return [AbstractValue(("B",) + tuple(params["shape"]),
-                          str(params.get("dtype", "float64")))]
 
 
 @signature("apply_keep")

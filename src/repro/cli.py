@@ -55,7 +55,7 @@ Examples
     python -m repro.cli serve-bench --models SASRec SSDRec --json bench.json
     python -m repro.cli serve-bench --models SASRec --workers 4
     python -m repro.cli load-bench --dataset ml-100k --gates
-    python -m repro.cli lint --rules dtype-discipline plan-signature
+    python -m repro.cli lint --rules dtype-discipline atomic-persistence
 """
 
 from __future__ import annotations

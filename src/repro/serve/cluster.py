@@ -61,7 +61,7 @@ from ..resilience.faults import (KILL_EXIT_CODE, SERVE_WORKER_SITE,
                                  SWAP_SPOOL_SITE, active_plan, arm_json,
                                  fault_point)
 from .ann import DEFAULT_NPROBE
-from .plan import FrozenPlan, attach_ann_index, freeze
+from .plan import FrozenPlan, attach_ann_index, check_padding, freeze
 from .quant import QuantizedPlan, quantize_plan
 from .router import Router
 from .service import Recommendation, RecommendService
@@ -325,15 +325,7 @@ class ClusterService:
                 f"{plan.model_name} plan wraps a live model (fallback "
                 "path) and cannot cross a process boundary; cluster "
                 "serving needs a compiled FrozenPlan")
-        if padding not in ("model", "tight"):
-            raise ValueError(f"padding must be 'model' or 'tight', "
-                             f"got {padding!r}")
-        if padding == "tight" and not (plan.padding_invariant
-                                       or plan.supports_tight):
-            raise ValueError(
-                f"{plan.model_name} is padding-width sensitive; "
-                "tight padding would change its scores — use "
-                "padding='model'")
+        check_padding(plan, padding)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if num_workers < 1:
@@ -464,11 +456,7 @@ class ClusterService:
             raise ValueError(
                 f"{incoming.model_name} plan wraps a live model "
                 "(fallback path) and cannot cross a process boundary")
-        if self._config["padding"] == "tight" and not (
-                incoming.padding_invariant or incoming.supports_tight):
-            raise ValueError(
-                f"{incoming.model_name} is padding-width sensitive; "
-                "this cluster runs padding='tight'")
+        check_padding(incoming, self._config["padding"])
         if (self._config.get("retrieval") == "ann"
                 and incoming.ann_index is None):
             attach_ann_index(incoming, verify=verify)

@@ -3,7 +3,10 @@
 Every function here mirrors one forward pass of the training substrate
 (``repro.nn``) *exactly* — same formulas, same masking sentinel, same
 in-place stable-softmax order — but operates on plain ``np.ndarray``
-inputs and never builds autograd ``Tensor`` graphs.  The ``serve-graph-free``
+inputs and never builds autograd ``Tensor`` graphs.  Plan step programs
+run these kernels through the op table in :mod:`repro.serve.program`:
+a step calls ``kernel(*inputs, **params)``, so env inputs come first and
+weights/constants are keyword parameters.  The ``serve-graph-free``
 lint rule (``scripts/static_check.py``) enforces that guarantee
 statically; ``tests/serve/test_frozen_parity.py`` enforces it
 numerically (<= 1e-6 against the graph path).
@@ -20,6 +23,7 @@ Parity notes
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -147,12 +151,11 @@ def transformer_layer(x: np.ndarray, params: dict, attn_mask4: np.ndarray,
 
 
 def transformer_encoder(x: np.ndarray, attn_mask4: np.ndarray,
-                        layers: list, num_heads: int,
-                        final_gamma: np.ndarray, final_beta: np.ndarray,
-                        eps: float = 1e-8) -> np.ndarray:
+                        layers: list, num_heads: int, final_g: np.ndarray,
+                        final_b: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     for params in layers:
         x = transformer_layer(x, params, attn_mask4, num_heads)
-    return layer_norm(x, final_gamma, final_beta, eps)
+    return layer_norm(x, final_g, final_b, eps)
 
 
 def transformer_layer_kv(x: np.ndarray, params: dict,
@@ -186,51 +189,52 @@ def transformer_layer_kv(x: np.ndarray, params: dict,
 
 
 def transformer_encoder_kv(x: np.ndarray, attn_mask4: np.ndarray,
-                           layers: list, num_heads: int,
-                           final_gamma: np.ndarray, final_beta: np.ndarray,
-                           eps: float = 1e-8):
+                           layers: list, num_heads: int, final_g: np.ndarray,
+                           final_b: np.ndarray, eps: float = 1e-8) -> tuple:
     """:func:`transformer_encoder` that also returns per-layer K/V.
 
-    ``(hidden, ks, vs)`` where ``ks[i]``/``vs[i]`` are layer ``i``'s
-    ``(B, H, L, hd)`` key/value tensors.  The hidden states are
-    bitwise-equal to :func:`transformer_encoder`'s.
+    ``(hidden, k_0, v_0, k_1, v_1, ...)`` where ``k_i``/``v_i`` are
+    layer ``i``'s ``(B, H, L, hd)`` key/value tensors.  The hidden
+    states are bitwise-equal to :func:`transformer_encoder`'s.
     """
-    ks, vs = [], []
+    kv = []
     for params in layers:
         x, k, v = transformer_layer_kv(x, params, attn_mask4, num_heads)
-        ks.append(k)
-        vs.append(v)
-    return layer_norm(x, final_gamma, final_beta, eps), ks, vs
+        kv += [k, v]
+    return (layer_norm(x, final_g, final_b, eps), *kv)
 
 
-def transformer_step_kv(x: np.ndarray, ks: list, vs: list, layers: list,
-                        num_heads: int, final_gamma: np.ndarray,
-                        final_beta: np.ndarray, eps: float = 1e-8):
+def transformer_step_kv(x: np.ndarray, lengths: np.ndarray, *kv: np.ndarray,
+                        layers: list, num_heads: int, final_g: np.ndarray,
+                        final_b: np.ndarray, eps: float = 1e-8) -> tuple:
     """Advance a cached K/V prefix by one token.
 
     ``x`` is the new token's input embedding ``(B, 1, d)`` (item row +
-    position, supplied by the plan); ``ks``/``vs`` hold each layer's
-    prefix keys/values ``(B, H, t, hd)`` over *valid* positions only.
-    Per layer: project the token's q/k/v, append the new key/value
-    column, and attend the single query against the grown prefix — no
-    mask is needed because causal attention over (prefix + self) is
-    every key.  Returns ``(rep, new_ks, new_vs)`` with ``rep`` the
+    position); ``kv`` holds each layer's prefix keys/values
+    ``k_0, v_0, k_1, v_1, ...`` as ``(B, H, W, hd)``, whose *last*
+    ``lengths[0]`` columns are valid (a tight encode left-pads).  Per
+    layer: project the token's q/k/v, append the new key/value column to
+    the valid prefix, and attend the single query against it — no mask
+    is needed because causal attention over (prefix + self) is every
+    key.  Returns ``(rep, k_0', v_0', ...)`` with ``rep`` the
     final-LayerNormed token representation ``(B, d)``.
     """
     batch, length, dim = x.shape
     head_dim = dim // num_heads
-    new_ks, new_vs = [], []
-    for params, k_prev, v_prev in zip(layers, ks, vs):
+    t = int(lengths[0])
+    grown = []
+    for index, params in enumerate(layers):
+        k_prev, v_prev = kv[2 * index], kv[2 * index + 1]
+        width = k_prev.shape[2]
         normed = layer_norm(x, params["ln1_g"], params["ln1_b"],
                             params["eps"])
         qkv = normed @ params["w_qkv"]
         qkv += params["b_qkv"]
         qkv = qkv.reshape(batch, length, 3, num_heads, head_dim)
         qkv = qkv.transpose(2, 0, 3, 1, 4)
-        k = np.concatenate([k_prev, qkv[1]], axis=2)
-        v = np.concatenate([v_prev, qkv[2]], axis=2)
-        new_ks.append(k)
-        new_vs.append(v)
+        k = np.concatenate([k_prev[:, :, width - t:, :], qkv[1]], axis=2)
+        v = np.concatenate([v_prev[:, :, width - t:, :], qkv[2]], axis=2)
+        grown += [k, v]
         context = attention(qkv[0], k, v, None, 1.0 / np.sqrt(head_dim))
         merged = np.ascontiguousarray(context.transpose(0, 2, 1, 3)
                                       ).reshape(batch, length, dim)
@@ -240,18 +244,17 @@ def transformer_step_kv(x: np.ndarray, ks: list, vs: list, layers: list,
         hidden = linear(normed, params["w_fc1"], params["b_fc1"])
         hidden = params["activation"](hidden)
         x += linear(hidden, params["w_fc2"], params["b_fc2"])
-    rep = layer_norm(x, final_gamma, final_beta, eps)[:, -1, :]
-    return rep, new_ks, new_vs
+    rep = layer_norm(x, final_g, final_b, eps)[:, -1, :]
+    return (rep, *grown)
 
 
 # ---------------------------------------------------------------------------
 # Recurrence
 # ---------------------------------------------------------------------------
 
-def gru_forward(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray,
-                b_ih: np.ndarray, b_hh: np.ndarray,
-                h0: Optional[np.ndarray] = None,
-                step_mask: Optional[np.ndarray] = None) -> np.ndarray:
+def gru_forward(x: np.ndarray, step_mask: Optional[np.ndarray] = None, *,
+                w_ih: np.ndarray, w_hh: np.ndarray, b_ih: np.ndarray,
+                b_hh: np.ndarray) -> np.ndarray:
     """Full GRU recurrence, mirroring ``gru_sequence``'s forward loop.
 
     The input projection runs as one big matmul; each step is one
@@ -270,8 +273,7 @@ def gru_forward(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray,
     gi = x_tm.reshape(length * batch, in_dim) @ w_ih
     gi += b_ih
     gi = gi.reshape(length, batch, 3 * hidden)
-    h = (np.zeros((batch, hidden), dtype=np.float64) if h0 is None
-         else np.array(h0, dtype=np.float64))
+    h = np.zeros((batch, hidden), dtype=np.float64)
     out = np.empty((length, batch, hidden), dtype=np.float64)
     for t in range(length):
         h_new = gru_step(gi[t], h, w_hh, b_hh, hidden)
@@ -342,20 +344,201 @@ def standardize(energy: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def conv1d_relu_pool(image: np.ndarray, weight: np.ndarray,
-                     bias: np.ndarray, kernel_size: int) -> np.ndarray:
+                     bias: np.ndarray, kernel: int) -> np.ndarray:
     """``MaxPool1d(relu(Conv1d(image)))`` over ``(B, C, L)`` in one pass.
 
     Uses a strided window view instead of the graph path's per-offset
     slice-and-stack, but lands on the identical ``(B, out_len, C*K)``
     column layout (column index ``c * K + k``), so the matmul against the
-    ``(out_channels, C*K)`` weight is value-identical.
+    ``(out_channels, C*K)`` weight is value-identical.  A sequence
+    shorter than the kernel yields zero features, as in ``Caser``.
     """
+    if image.shape[2] < kernel:
+        return np.zeros((image.shape[0], weight.shape[0]), dtype=np.float64)
     windows = np.lib.stride_tricks.sliding_window_view(
-        image, kernel_size, axis=2)          # (B, C, out_len, K)
+        image, kernel, axis=2)               # (B, C, out_len, K)
     batch, channels, out_len, _ = windows.shape
     cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(
-        batch, out_len, channels * kernel_size)
+        batch, out_len, channels * kernel)
     out = cols @ weight.T
     out += bias
     relu(out)
     return out.max(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Program glue: lookups, positions, masks, reshapes, the SSDRec gate, score
+# ---------------------------------------------------------------------------
+
+def embed(indices: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row gather ``table[indices]`` (any index shape)."""
+    return table[indices]
+
+
+def add_positions(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Add position rows ``0..L-1`` to every row of ``(B, L, d)``."""
+    return x + positions[:x.shape[1]]
+
+
+def add_tight_positions(x: np.ndarray, mask: np.ndarray,
+                        positions: np.ndarray) -> np.ndarray:
+    """Number each row's valid items ``0..len-1``, right-aligned.
+
+    The canonical ``padding="tight"`` layout: pad columns take position
+    0 (they are masked out of attention), so the result does not depend
+    on the queue's padding width.  It equals :func:`add_positions` when
+    a row fills the window.
+    """
+    length = x.shape[1]
+    offsets = length - mask.sum(axis=1)
+    pos = np.maximum(np.arange(length)[None, :] - offsets[:, None], 0)
+    return x + positions[pos]
+
+
+def add_position_at(x: np.ndarray, lengths: np.ndarray,
+                    positions: np.ndarray, limit: int) -> np.ndarray:
+    """One new ``(B, d)`` token at position ``lengths`` -> ``(B, 1, d)``.
+
+    Raises once the prefix would outgrow the window (``limit``) or the
+    position table — a KV prefix cannot slide its positions.
+    """
+    end = min(limit, positions.shape[0])
+    if int(lengths.max()) >= end:
+        raise ValueError(f"KV prefix already spans {int(lengths.max())} "
+                         f"positions; the window ends at {end}")
+    return (x + positions[lengths])[:, None, :]
+
+
+def advance_length(lengths: np.ndarray) -> np.ndarray:
+    return lengths + 1
+
+
+def count_valid(mask: np.ndarray) -> np.ndarray:
+    return mask.sum(axis=1).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=64)
+def _causal(length: int) -> np.ndarray:
+    return np.tril(np.ones((length, length), dtype=bool))
+
+
+def causal_attn_mask(mask: np.ndarray) -> np.ndarray:
+    """``(B, 1, L, L)`` causal mask with pad keys blocked."""
+    return (_causal(mask.shape[1])[None, :, :] & mask[:, None, :])[:, None]
+
+
+def pad_attn_mask(mask: np.ndarray) -> np.ndarray:
+    """``(B, 1, 1, L)`` bidirectional mask with pad keys blocked."""
+    return mask[:, None, None, :]
+
+
+def extend_mask_token(states: np.ndarray, mask: np.ndarray,
+                      row: np.ndarray) -> tuple:
+    """Append the ``[MASK]`` embedding as a final always-valid position."""
+    batch, length, dim = states.shape
+    extended = np.empty((batch, length + 1, dim), dtype=np.float64)
+    extended[:, :length] = states
+    extended[:, length] = row
+    ext_mask = np.concatenate([mask, np.ones((batch, 1), dtype=bool)],
+                              axis=1)
+    return extended, ext_mask
+
+
+def take_last(states: np.ndarray) -> np.ndarray:
+    return states[:, -1, :]
+
+
+def squeeze_last(x: np.ndarray) -> np.ndarray:
+    return x[..., 0]
+
+
+def sum_last(x: np.ndarray) -> np.ndarray:
+    return x.sum(axis=-1)
+
+
+def scale(x: np.ndarray, factor: float) -> np.ndarray:
+    return x * factor
+
+
+def concat_last(*xs: np.ndarray) -> np.ndarray:
+    return np.concatenate(xs, axis=-1)
+
+
+def weighted_sum(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_l weights[b, l] * states[b, l]`` -> ``(B, d)``."""
+    return (states * weights[:, :, None]).sum(axis=1)
+
+
+def mask_states(states: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return states * np.asarray(mask, np.float64)[:, :, None]
+
+
+def to_image(states: np.ndarray) -> np.ndarray:
+    """``(B, L, d)`` -> contiguous ``(B, d, L)`` (Caser's image layout)."""
+    return np.ascontiguousarray(states.transpose(0, 2, 1))
+
+
+def fit_length(image: np.ndarray, width: int) -> np.ndarray:
+    """Crop or left-zero-pad the ``L`` axis of ``(B, d, L)`` to ``width``."""
+    batch, dim, length = image.shape
+    if length == width:
+        return image
+    if length > width:
+        return image[:, :, length - width:]
+    padded = np.zeros((batch, dim, width), dtype=np.float64)
+    padded[:, :, width - length:] = image
+    return padded
+
+
+def reshape_merge_last2(x: np.ndarray) -> np.ndarray:
+    return x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
+
+
+def user_inject(states: np.ndarray, mask: np.ndarray,
+                users: Optional[np.ndarray],
+                user_table: np.ndarray) -> np.ndarray:
+    """SSDRec ``h_t = h_v + h_u / n`` on valid positions (no-op without
+    ``users``), mirroring ``SSDRec.sequence_states``."""
+    if users is None:
+        return states
+    lengths = np.maximum(mask.sum(axis=1), 1)
+    h_u = user_table[np.asarray(users)]
+    scaled = h_u * (1.0 / lengths[:, None].astype(np.float64))
+    valid = np.asarray(mask, np.float64)[:, :, None]
+    return states + scaled[:, None, :] * valid
+
+
+def gate_combine(z_seq: np.ndarray, z_user: np.ndarray, w_seq: float,
+                 w_user: float, bias: float, tau: float) -> np.ndarray:
+    """NoiseGate keep logits at temperature ``tau``."""
+    return (z_seq * w_seq + z_user * w_user + bias) / tau
+
+
+def threshold_keep(soft: np.ndarray, mask: np.ndarray) -> tuple:
+    """Deterministic keep gate: ``(keep weights, keep mask)``.
+
+    A row whose every item is dropped keeps its original mask, as
+    ``HierarchicalDenoising`` does at evaluation.
+    """
+    keep = (soft > 0.5).astype(np.float64)
+    keep *= mask.astype(np.float64)
+    keep_mask = (keep > 0.5) & mask
+    empty = ~keep_mask.any(axis=1)
+    if empty.any():
+        keep_mask[empty] = mask[empty]
+    return keep, keep_mask
+
+
+def apply_keep(states: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    return states * keep[:, :, None]
+
+
+def score(reprs: np.ndarray, table_t: np.ndarray, masked_columns: tuple,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``(B, d) -> (B, V)`` logits against the pinned table, with the
+    masked columns (padding, ``[MASK]``) forced to ``NEG_INF``.
+    ``out`` may supply a reusable ``(B, V)`` buffer."""
+    logits = np.matmul(reprs, table_t, out=out)
+    for col in masked_columns:
+        logits[:, col] = NEG_INF
+    return logits

@@ -1,10 +1,13 @@
-"""Frozen forward plans: compile a trained model into a graph-free executor.
+"""Frozen forward plans: compile a trained model into step programs.
 
-``freeze(model)`` snapshots the model's weights into a plan object whose
-``encode`` / ``score`` / ``forward`` methods run pure NumPy
-(:mod:`repro.serve.executors`) with no autograd ``Tensor`` construction.
-Per-model compilers cover the whole ``encode_states``/``score`` family
-(SASRec, GRU4Rec, BERT4Rec, NARM, STAMP, Caser) plus SSDRec's
+``freeze(model)`` snapshots the model's weights into a plan whose
+forward pass is a set of step programs (:mod:`repro.serve.program`)
+holding the live weight arrays.  ``encode`` / ``score`` / ``forward``
+and the incremental-serving methods each run one program through the
+pure-NumPy kernels of :mod:`repro.serve.executors` — no autograd
+``Tensor`` construction — and ``freeze`` abstract-interprets the very
+same programs (:mod:`repro.analysis.dataflow`).  Per-model compilers
+cover SASRec, GRU4Rec, BERT4Rec, NARM, STAMP and Caser plus SSDRec's
 denoise-then-encode pipeline; anything else falls back to
 :class:`FallbackPlan`, which wraps the model's own ``forward_batch``
 under ``no_grad``.
@@ -17,6 +20,7 @@ pinned item-embedding table shared by every request of a
 
 from __future__ import annotations
 
+import inspect
 from typing import Optional
 
 import numpy as np
@@ -25,8 +29,7 @@ from ..data.dataset import PAD_ID
 from ..nn import inference_mode, no_grad
 from . import executors as X
 from .ann import DEFAULT_NPROBE, build_ann_index
-
-NEG_INF = X.NEG_INF
+from .program import execute, run_step, step
 
 
 def _snap(param) -> np.ndarray:
@@ -75,87 +78,44 @@ def _compile_transformer(encoder) -> dict:
     }
 
 
+def _batch(items, mask):
+    """``(int64 items, bool mask)``; the mask defaults to non-pad items."""
+    items = np.asarray(items, dtype=np.int64)
+    return items, (items != PAD_ID if mask is None
+                   else np.asarray(mask, dtype=bool))
+
+
 def _compile_gru(gru) -> dict:
     cell = gru.cell
-    return {
-        "w_ih": _snap(cell.w_ih),
-        "w_hh": _snap(cell.w_hh),
-        "b_ih": _snap(cell.b_ih),
-        "b_hh": _snap(cell.b_hh),
-        "hidden": cell.hidden_dim,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Plan programs: symbolic step lists for the verifier (analysis.dataflow)
-# ---------------------------------------------------------------------------
-
-def _aa(arr: np.ndarray) -> dict:
-    """Abstract-array descriptor: what the verifier needs from a weight.
-
-    Programs are pure data — weights cross into ``repro.analysis`` as
-    ``{shape, dtype, nbytes}`` descriptors, never as live arrays, so the
-    analysis layer stays decoupled from the serving layer.
-    """
-    arr = np.asarray(arr)
-    return {"shape": tuple(int(s) for s in arr.shape),
-            "dtype": str(arr.dtype), "nbytes": int(arr.nbytes)}
-
-
-def _step(op: str, ins, outs, traced: bool = False, **params) -> dict:
-    """One program step.  ``traced=True`` marks steps whose op is a real
-    ``X.<op>`` executor call in the plan source (not NumPy glue) — the
-    runtime cross-validator matches exactly these against recorded
-    executor calls."""
-    return {"op": op, "in": list(ins), "out": list(outs),
-            "traced": traced, "params": params}
-
-
-def _transformer_program(enc: dict) -> dict:
-    layers = []
-    for layer in enc["layers"]:
-        entry = {key: _aa(value) for key, value in layer.items()
-                 if isinstance(value, np.ndarray)}
-        entry["eps"] = layer["eps"]
-        entry["activation"] = layer["activation"].__name__
-        layers.append(entry)
-    return {"layers": layers, "num_heads": int(enc["num_heads"]),
-            "final_g": _aa(enc["final_g"]), "final_b": _aa(enc["final_b"]),
-            "eps": enc["eps"]}
-
-
-def _gru_program(p: dict) -> dict:
-    return {name: _aa(p[name])
+    return {name: _snap(getattr(cell, name))
             for name in ("w_ih", "w_hh", "b_ih", "b_hh")}
 
 
 class FrozenPlan:
     """Base plan: embedding lookup + pinned-table scoring + pad masking.
 
-    Subclasses implement :meth:`encode_states`.  All plans accept an
-    optional ``users`` argument (ignored outside SSDRec) so callers can
-    treat every plan uniformly.
+    ``programs`` maps a name to the step program (:mod:`.program`) that
+    runs it; every compiled plan has ``"encode"`` (``items``, ``mask``,
+    ``users`` -> ``rep``) and ``"score"`` (``rep`` -> ``scores``).
+    Optional programs are the plan's serving capabilities:
+
+    ``"tight"``
+        Padding-width-independent encode of ``items``/``mask`` — the
+        only way a plan may serve ``padding="tight"``.
+    ``"append"`` / ``"readout"``
+        Advance a one-row cached state (the values named by
+        ``state_names``, which ``"tight"`` also produces) by one
+        ``item``, and read its representation — incremental serving.
+
+    All plans accept an optional ``users`` argument (ignored outside
+    SSDRec) so callers can treat every plan uniformly.
     """
 
     model_name = "generic"
     #: False only for :class:`FallbackPlan` (no separate encode/score).
     supports_encode = True
-    #: True when left-padding width does not change the output (given the
-    #: zero pad-embedding row) — required for ``padding="tight"`` serving.
-    padding_invariant = False
-    #: True when the plan can extend a cached recurrent state by one item
-    #: (``padding="tight"`` mode only).
-    supports_incremental = False
-    #: True when the plan defines a *canonical* ``encode_tight`` whose
-    #: result is independent of queue padding width even though the
-    #: ``padding="model"`` layout is width-sensitive (attention plans
-    #: assign positions ``0..len-1`` per row under tight serving).
-    supports_tight = False
-    #: True when ``append_item`` stays exact after the sequence window
-    #: slides past ``max_len`` — the state summarizes the *full* history
-    #: (recurrent backbones).  Attention KV prefixes are positional, so
-    #: a window slide forces a re-encode and this stays False.
-    incremental_rollover = False
+    #: Environment names of the incremental state, in state-list order.
+    state_names = ()
     #: Optional :class:`repro.serve.ann.ANNIndex` over the item table
     #: (set by :func:`attach_ann_index` / ``freeze(model, ann=True)``).
     ann_index = None
@@ -163,9 +123,21 @@ class FrozenPlan:
     def __init__(self, item_table: np.ndarray, max_len: int,
                  masked_columns=(PAD_ID,)):
         self.item_table = np.ascontiguousarray(item_table)
-        self.table_t = np.ascontiguousarray(self.item_table.T)
         self.max_len = max_len
         self.masked_columns = tuple(masked_columns)
+        self.programs = {"score": [step(
+            "score", ["rep"], ["scores"],
+            table_t=np.ascontiguousarray(self.item_table.T),
+            masked_columns=self.masked_columns)]}
+
+    @property
+    def table_t(self) -> np.ndarray:
+        """The pinned ``(d, V)`` score table (held by the score step)."""
+        return self.programs["score"][0]["params"]["table_t"]
+
+    @table_t.setter
+    def table_t(self, value) -> None:
+        self.programs["score"][0]["params"]["table_t"] = value
 
     @property
     def dim(self) -> int:
@@ -176,99 +148,74 @@ class FrozenPlan:
         """Scored columns, including padding (and [MASK] for BERT4Rec)."""
         return self.item_table.shape[0]
 
-    # -- encode --------------------------------------------------------
-    def embed(self, items: np.ndarray) -> np.ndarray:
-        return self.item_table[items.reshape(-1)].reshape(
-            (*items.shape, self.dim))
+    @property
+    def rolls_over(self) -> bool:
+        """True when ``append`` stays exact after the window slides past
+        ``max_len``: it reads no position table, so the state summarizes
+        the *full* history (recurrent backbones).  Attention KV prefixes
+        are positional, so a slide forces a re-encode instead."""
+        append = self.programs.get("append")
+        return append is not None and not any(
+            "positions" in entry["params"] for entry in append)
 
-    def encode_states(self, states: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def _embed(self, source: str = "items", out: str = "states") -> dict:
+        return step("embed", [source], [out], table=self.item_table)
 
-    # -- symbolic program ----------------------------------------------
+    # -- programs --------------------------------------------------------
     def program(self) -> list:
-        """Symbolic step list describing one ``forward`` at ``max_len``.
+        """One ``forward`` as a step list: encode, score, then the ANN
+        index pseudo-ops when an index is attached.
 
-        Steps are ``{"op", "in", "out", "traced", "params"}`` dicts over
-        named intermediate values; the abstract interpreter
-        (:mod:`repro.analysis.dataflow`) executes them over a
-        ``(shape, dtype)`` lattice with the batch axis symbolic.  The
-        program describes the canonical ``padding="model"`` layout
-        (sequences padded to ``max_len``).
+        This is what :mod:`repro.analysis.dataflow` abstract-interprets
+        over a ``(shape, dtype)`` lattice with the batch axis symbolic.
         """
-        steps = [_step("embed", ["items"], ["states"],
-                       table=_aa(self.item_table))]
-        steps += self.encode_program("states", "mask", "rep")
-        steps.append(_step("score", ["rep"], ["scores"],
-                           table_t=_aa(self.table_t),
-                           masked_columns=list(self.masked_columns)))
-        steps += self._ann_program()
-        steps += self._incremental_program()
-        return steps
-
-    def _incremental_program(self) -> list:
-        """Pseudo-op steps describing the incremental serving state.
-
-        Empty on plans without a cached-state append path.  Attention
-        plans override this with the KV-prefix ops so ``verify_plan``
-        abstract-interprets the per-user state layout (shapes, dtypes,
-        position-table bounds) at freeze time, exactly like the ANN
-        pseudo-ops.  Non-``traced``: ``forward`` never runs them.
-        """
-        return []
+        steps = self.programs["encode"] + self.programs["score"]
+        return [dict(entry) for entry in steps] + self._ann_program()
 
     def _ann_program(self) -> list:
         """Index pseudo-op steps, present iff an ANN index is attached.
 
-        Non-``traced`` (the search path is NumPy glue, not ``X.<op>``
-        executors); ``nprobe``/``k`` are nominal serving defaults — the
-        verifier checks index geometry, which is request-independent.
+        Verifier-only (the search lives in :mod:`repro.serve.ann`);
+        ``nprobe``/``k`` are nominal serving defaults — the verifier
+        checks index geometry, which is request-independent.
         """
         index = self.ann_index
         if index is None:
             return []
         return [
-            _step("centroid_scores", ["rep"], ["cluster_scores"],
-                  centroids=_aa(index.centroids)),
-            _step("probe_clusters", ["cluster_scores"], ["probes"],
-                  nprobe=int(min(DEFAULT_NPROBE, index.num_clusters))),
-            _step("ann_gather_topk", ["rep", "probes"],
-                  ["ann_items", "ann_scores"],
-                  packed_table=_aa(index.packed_table),
-                  packed_ids=_aa(index.packed_ids),
-                  offsets=_aa(index.offsets),
-                  num_clusters=int(index.num_clusters),
-                  k=int(min(10, index.size))),
+            step("centroid_scores", ["rep"], ["cluster_scores"],
+                 centroids=index.centroids),
+            step("probe_clusters", ["cluster_scores"], ["probes"],
+                 nprobe=int(min(DEFAULT_NPROBE, index.num_clusters))),
+            step("ann_gather_topk", ["rep", "probes"],
+                 ["ann_items", "ann_scores"],
+                 packed_table=index.packed_table,
+                 packed_ids=index.packed_ids, offsets=index.offsets,
+                 num_clusters=int(index.num_clusters),
+                 k=int(min(10, index.size))),
         ]
 
-    def encode_program(self, states: str, mask: str, out: str,
-                       prefix: str = "") -> list:
-        """Steps from embedded ``states`` + ``mask`` to the ``out`` repr.
-
-        Split out from :meth:`program` so SSDRec can splice a backbone's
-        encode stage after its denoising gate (``prefix`` namespaces the
-        intermediates).
-        """
-        raise NotImplementedError
-
     def verify(self):
-        """Abstract-interpret the program against the recorded weights.
+        """Abstract-interpret every program against its weights.
 
         Raises :class:`repro.analysis.dataflow.PlanVerificationError`
         naming the offending step on any shape/dtype mismatch; returns
-        the per-step trace on success.  Called by ``freeze()`` unless
-        ``verify=False``.
+        the per-program step traces on success.  Called by ``freeze()``
+        unless ``verify=False``.
         """
         from ..analysis.dataflow import verify_plan
         return verify_plan(self)
 
+    # -- encode ----------------------------------------------------------
+    def _run(self, name: str, items, mask=None, users=None) -> dict:
+        """Run program ``name`` on a padded batch; returns the env."""
+        items, mask = _batch(items, mask)
+        return execute(self.programs[name],
+                       {"items": items, "mask": mask, "users": users})
+
     def encode(self, items: np.ndarray, mask: Optional[np.ndarray] = None,
                users: Optional[np.ndarray] = None) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        if mask is None:
-            mask = items != PAD_ID
-        else:
-            mask = np.asarray(mask, dtype=bool)
-        return self.encode_states(self.embed(items), mask)
+        return self._run("encode", items, mask, users)["rep"]
 
     def encode_batch(self, batch) -> np.ndarray:
         return self.encode(batch.items, batch.mask,
@@ -277,12 +224,32 @@ class FrozenPlan:
     def encode_tight(self, items: np.ndarray,
                      mask: Optional[np.ndarray] = None,
                      users: Optional[np.ndarray] = None) -> np.ndarray:
-        """Padding-width-independent encode (``padding="tight"`` serving).
+        """Padding-width-independent encode (``padding="tight"``)."""
+        return self._run("tight", items, mask, users)["rep"]
 
-        Only meaningful on ``padding_invariant`` plans; recurrent plans
-        override this to step through valid positions only.
+    # -- incremental (tight-padding) state API -------------------------
+    def encode_tight_with_state(self, items: np.ndarray,
+                                mask: Optional[np.ndarray] = None):
+        """Tight encode that also returns the incremental state.
+
+        The state is the list of ``state_names`` values; every element
+        is sliceable ``[j:j+1]`` on the batch axis (the service caches
+        one row per user and advances it with :meth:`append_item`).
         """
-        return self.encode(items, mask, users)
+        env = self._run("tight", items, mask)
+        return env["rep"], [env[name] for name in self.state_names]
+
+    def append_item(self, state: list, item: int) -> list:
+        """Advance a one-row state by ``item`` (the ``append`` program)."""
+        env = dict(zip(self.state_names, state))
+        env["item"] = np.array([item], dtype=np.int64)
+        env = execute(self.programs["append"], env)
+        return [env[name] for name in self.state_names]
+
+    def state_repr(self, state: list) -> np.ndarray:
+        env = execute(self.programs["readout"],
+                      dict(zip(self.state_names, state)))
+        return env["rep"][0]
 
     # -- score ---------------------------------------------------------
     def score(self, reprs: np.ndarray,
@@ -292,10 +259,8 @@ class FrozenPlan:
         ``out`` may supply a reusable ``(B, V)`` buffer (allocation-lean
         chunked scoring in the Evaluator and the service reuse it).
         """
-        logits = np.matmul(reprs, self.table_t, out=out)
-        for col in self.masked_columns:
-            logits[:, col] = NEG_INF
-        return logits
+        (entry,) = self.programs["score"]
+        return run_step(entry, {"rep": reprs}, out=out)["scores"]
 
     def ann_topk(self, reprs: np.ndarray, k: int,
                  nprobe: int = DEFAULT_NPROBE):
@@ -322,169 +287,74 @@ class FrozenPlan:
         return self.score(self.encode_batch(batch))
 
 
+def check_padding(plan: FrozenPlan, padding: str) -> None:
+    """Reject a padding mode ``plan`` cannot serve.
+
+    ``padding="tight"`` needs a ``"tight"`` program; every other plan is
+    padding-width sensitive and must be padded to ``max_len``.
+    """
+    if padding not in ("model", "tight"):
+        raise ValueError(
+            f"padding must be 'model' or 'tight', got {padding!r}")
+    if padding == "tight" and "tight" not in plan.programs:
+        raise ValueError(
+            f"{plan.model_name} is padding-width sensitive; tight padding "
+            "would change its scores — use padding='model'")
+
+
 class SASRecPlan(FrozenPlan):
+    """Causal Transformer; tight serving numbers each row's valid items
+    from 0 (right-aligned) and caches a per-layer KV prefix.
+
+    State layout: ``[k_0, v_0, …, k_{n-1}, v_{n-1}, rep, lengths]`` where
+    ``k_i``/``v_i`` are layer ``i``'s ``(B, H, L, hd)`` key/value
+    tensors (valid positions occupy the *last* ``lengths[j]`` columns of
+    row ``j``), ``rep`` the ``(B, d)`` representation and ``lengths``
+    the ``(B,)`` valid-item counts.
+    """
+
     model_name = "SASRec"
-    supports_tight = True
-    supports_incremental = True
 
     def __init__(self, model):
         super().__init__(_snap(model.item_embedding.weight), model.max_len)
-        self.positions = _snap(model.position_embedding.weight)
-        self.encoder = _compile_transformer(model.encoder)
-        self._causal = {}
-
-    def _causal_mask(self, length: int) -> np.ndarray:
-        cached = self._causal.get(length)
-        if cached is None:
-            cached = np.tril(np.ones((length, length), dtype=bool))
-            self._causal[length] = cached
-        return cached
-
-    def encode_states(self, states: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        length = states.shape[1]
-        x = states + self.positions[:length]
-        attn = (self._causal_mask(length)[None, :, :]
-                & mask[:, None, :])[:, None]
-        enc = self.encoder
-        hidden = X.transformer_encoder(x, attn, enc["layers"],
-                                       enc["num_heads"], enc["final_g"],
-                                       enc["final_b"], enc["eps"])
-        return X.last_state(hidden, mask)
-
-    def encode_program(self, states: str, mask: str, out: str,
-                       prefix: str = "") -> list:
-        p = prefix
-        return [
-            _step("add_positions", [states], [p + "x"],
-                  positions=_aa(self.positions)),
-            _step("causal_attn_mask", [mask], [p + "attn"]),
-            _step("transformer_encoder", [p + "x", p + "attn"],
-                  [p + "hidden"], traced=True,
-                  **_transformer_program(self.encoder)),
-            _step("last_state", [p + "hidden", mask], [out], traced=True),
-        ]
-
-    def _incremental_program(self) -> list:
-        enc = self.encoder
-        head_dim = self.dim // int(enc["num_heads"])
-        return [
-            _step("kv_cache_prefix", ["x", "attn"], ["kv_cache"],
-                  num_layers=len(enc["layers"]),
-                  num_heads=int(enc["num_heads"]), head_dim=head_dim),
-            _step("kv_step_token", ["items", "kv_cache"],
-                  ["step_rep", "kv_cache_next"],
-                  table=_aa(self.item_table),
-                  positions=_aa(self.positions),
-                  **_transformer_program(self.encoder)),
-        ]
-
-    # -- tight (padding-width-independent) encode ----------------------
-    def _tight_layout(self, items, mask):
-        """Canonical tight layout: positions ``0..len-1`` right-aligned.
-
-        Under ``padding="model"`` every row spans the full window so
-        position ``i`` means "slot ``i`` of ``max_len``"; tight serving
-        instead numbers each row's *valid* items from 0, which makes the
-        result independent of the queue's padding width (pad columns are
-        NEG_INF-masked out of attention and their garbage K/V get exact
-        zero weight).  The two layouts agree exactly when a row fills
-        the window — the regime incremental serving cares about.
-        """
-        items = np.asarray(items, dtype=np.int64)
-        mask = (items != PAD_ID if mask is None
-                else np.asarray(mask, dtype=bool))
-        length = items.shape[1]
-        offsets = length - mask.sum(axis=1)
-        pos = np.maximum(np.arange(length)[None, :] - offsets[:, None], 0)
-        x = self.embed(items) + self.positions[pos]
-        attn = (self._causal_mask(length)[None, :, :]
-                & mask[:, None, :])[:, None]
-        return x, attn, mask
-
-    def encode_tight(self, items: np.ndarray,
-                     mask: Optional[np.ndarray] = None,
-                     users: Optional[np.ndarray] = None) -> np.ndarray:
-        x, attn, mask = self._tight_layout(items, mask)
-        enc = self.encoder
-        hidden = X.transformer_encoder(x, attn, enc["layers"],
-                                       enc["num_heads"], enc["final_g"],
-                                       enc["final_b"], enc["eps"])
-        return X.last_state(hidden, mask)
-
-    def encode_tight_with_state(self, items: np.ndarray,
-                                mask: Optional[np.ndarray] = None):
-        """Tight encode that also returns the per-user KV-prefix state.
-
-        State layout (every element sliceable ``[j:j+1]`` on the batch
-        axis, per the service's caching contract):
-        ``[k_0, v_0, …, k_{n-1}, v_{n-1}, rep, lengths]`` where
-        ``k_i``/``v_i`` are layer ``i``'s ``(B, H, L, hd)`` key/value
-        tensors (valid positions occupy the *last* ``lengths[j]``
-        columns of row ``j``), ``rep`` is the ``(B, d)`` representation
-        and ``lengths`` the ``(B,)`` valid-item counts.
-        """
-        x, attn, mask = self._tight_layout(items, mask)
-        enc = self.encoder
-        hidden, ks, vs = X.transformer_encoder_kv(
-            x, attn, enc["layers"], enc["num_heads"], enc["final_g"],
-            enc["final_b"], enc["eps"])
-        rep = X.last_state(hidden, mask)
-        state = []
-        for k, v in zip(ks, vs):
-            state.append(k)
-            state.append(v)
-        state.append(rep)
-        state.append(mask.sum(axis=1).astype(np.int64))
-        return rep, state
-
-    # -- incremental (tight-padding) state API -------------------------
-    def init_state(self) -> list:
-        heads = int(self.encoder["num_heads"])
-        head_dim = self.dim // heads
-        state = []
-        for _ in self.encoder["layers"]:
-            state.append(np.zeros((1, heads, 0, head_dim),
-                                  dtype=np.float64))
-            state.append(np.zeros((1, heads, 0, head_dim),
-                                  dtype=np.float64))
-        state.append(np.zeros((1, self.dim), dtype=np.float64))
-        state.append(np.zeros((1,), dtype=np.int64))
-        return state
-
-    def append_item(self, state: list, item: int) -> list:
-        """Extend the KV prefix by one item (position ``t`` = old length).
-
-        Raises once the prefix would outgrow the position table — the
-        service then falls back to a full tight encode (and, because KV
-        positions cannot slide, ``incremental_rollover`` stays False so
-        the per-user probe re-encodes at window rollover instead).
-        """
-        t = int(state[-1][0])
-        if t >= min(self.max_len, self.positions.shape[0]):
-            raise ValueError(
-                f"KV prefix already spans {t} positions; the window ends "
-                f"at {min(self.max_len, self.positions.shape[0])}")
-        enc = self.encoder
-        x = (self.item_table[int(item)] + self.positions[t])[None, None, :]
-        ks, vs = [], []
-        for index in range(len(enc["layers"])):
-            k, v = state[2 * index], state[2 * index + 1]
-            width = k.shape[2]
-            ks.append(k[:, :, width - t:, :])
-            vs.append(v[:, :, width - t:, :])
-        rep, new_ks, new_vs = X.transformer_step_kv(
-            x, ks, vs, enc["layers"], enc["num_heads"], enc["final_g"],
-            enc["final_b"], enc["eps"])
-        new_state = []
-        for k, v in zip(new_ks, new_vs):
-            new_state.append(k)
-            new_state.append(v)
-        new_state.append(rep)
-        new_state.append(np.array([t + 1], dtype=np.int64))
-        return new_state
-
-    def state_repr(self, state: list) -> np.ndarray:
-        return state[-2][0]
+        positions = _snap(model.position_embedding.weight)
+        enc = _compile_transformer(model.encoder)
+        kv = [f"{kind}{index}" for index in range(len(enc["layers"]))
+              for kind in "kv"]
+        self.state_names = (*kv, "rep", "lengths")
+        embed, attn = self._embed(), step("causal_attn_mask", ["mask"],
+                                          ["attn"])
+        self.programs.update(
+            encode=[
+                embed,
+                step("add_positions", ["states"], ["x"],
+                     positions=positions),
+                attn,
+                step("transformer_encoder", ["x", "attn"], ["hidden"],
+                     **enc),
+                step("last_state", ["hidden", "mask"], ["rep"]),
+            ],
+            tight=[
+                embed,
+                step("add_tight_positions", ["states", "mask"], ["x"],
+                     positions=positions),
+                attn,
+                step("transformer_encoder_kv", ["x", "attn"],
+                     ["hidden", *kv], **enc),
+                step("last_state", ["hidden", "mask"], ["rep"]),
+                step("count_valid", ["mask"], ["lengths"]),
+            ],
+            # Raises at the window edge: positions cannot slide, so the
+            # service re-encodes at rollover instead.
+            append=[
+                self._embed("item", "token"),
+                step("add_position_at", ["token", "lengths"], ["x"],
+                     positions=positions, limit=model.max_len),
+                step("transformer_step_kv", ["x", "lengths", *kv],
+                     ["rep", *kv], **enc),
+                step("advance_length", ["lengths"], ["lengths"]),
+            ],
+            readout=[])
 
 
 class BERT4RecPlan(FrozenPlan):
@@ -493,246 +363,122 @@ class BERT4RecPlan(FrozenPlan):
     def __init__(self, model):
         super().__init__(_snap(model.item_embedding.weight), model.max_len,
                          masked_columns=(PAD_ID, model.mask_token))
-        self.mask_token = model.mask_token
-        self.positions = _snap(model.position_embedding.weight)
-        self.encoder = _compile_transformer(model.encoder)
-
-    def encode_states(self, states: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        batch, length, dim = states.shape
-        extended = np.empty((batch, length + 1, dim), dtype=np.float64)
-        extended[:, :length] = states
-        extended[:, length] = self.item_table[self.mask_token]
-        ext_mask = np.concatenate(
-            [mask, np.ones((batch, 1), dtype=bool)], axis=1)
-        x = extended + self.positions[:length + 1]
-        attn = ext_mask[:, None, None, :]  # bidirectional, pad-masked
-        enc = self.encoder
-        hidden = X.transformer_encoder(x, attn, enc["layers"],
-                                       enc["num_heads"], enc["final_g"],
-                                       enc["final_b"], enc["eps"])
-        return hidden[:, -1, :]
-
-    def encode_program(self, states: str, mask: str, out: str,
-                       prefix: str = "") -> list:
-        p = prefix
-        return [
-            _step("extend_mask_token", [states, mask],
-                  [p + "ext", p + "ext_mask"],
-                  row=_aa(self.item_table[self.mask_token])),
-            _step("add_positions", [p + "ext"], [p + "x"],
-                  positions=_aa(self.positions)),
-            _step("pad_attn_mask", [p + "ext_mask"], [p + "attn"]),
-            _step("transformer_encoder", [p + "x", p + "attn"],
-                  [p + "hidden"], traced=True,
-                  **_transformer_program(self.encoder)),
-            _step("take_last", [p + "hidden"], [out]),
+        self.programs["encode"] = [
+            self._embed(),
+            step("extend_mask_token", ["states", "mask"], ["ext", "ext_mask"],
+                 row=self.item_table[model.mask_token]),
+            step("add_positions", ["ext"], ["x"],
+                 positions=_snap(model.position_embedding.weight)),
+            step("pad_attn_mask", ["ext_mask"], ["attn"]),
+            step("transformer_encoder", ["x", "attn"], ["hidden"],
+                 **_compile_transformer(model.encoder)),
+            step("take_last", ["hidden"], ["rep"]),
         ]
 
 
 class GRU4RecPlan(FrozenPlan):
+    """Stacked GRUs; tight serving steps through valid positions only,
+    and the per-layer final hidden states are the incremental state."""
+
     model_name = "GRU4Rec"
-    padding_invariant = True       # with step-masked ("tight") stepping
-    supports_incremental = True
-    incremental_rollover = True    # recurrent state spans the full history
 
     def __init__(self, model):
         super().__init__(_snap(model.item_embedding.weight), model.max_len)
-        self.grus = [_compile_gru(gru) for gru in model.layers]
-        self.w_out = _snap(model.output_proj.weight)
-        self.b_out = _snap(model.output_proj.bias)
-
-    def encode_states(self, states: np.ndarray, mask: np.ndarray,
-                      tight: bool = False) -> np.ndarray:
-        hidden = states
-        step_mask = mask if tight else None
-        for p in self.grus:
-            hidden = X.gru_forward(hidden, p["w_ih"], p["w_hh"], p["b_ih"],
-                                   p["b_hh"], step_mask=step_mask)
-        return X.linear(X.last_state(hidden, mask), self.w_out, self.b_out)
-
-    def encode_program(self, states: str, mask: str, out: str,
-                       prefix: str = "") -> list:
-        p = prefix
-        steps = []
-        current = states
-        for index, gru in enumerate(self.grus):
-            nxt = f"{p}h{index}"
-            steps.append(_step("gru_forward", [current], [nxt],
-                               traced=True, **_gru_program(gru)))
-            current = nxt
-        steps.append(_step("last_state", [current, mask], [p + "last"],
-                           traced=True))
-        steps.append(_step("linear", [p + "last"], [out], traced=True,
-                           weight=_aa(self.w_out), bias=_aa(self.b_out)))
-        return steps
-
-    def encode_tight(self, items: np.ndarray,
-                     mask: Optional[np.ndarray] = None,
-                     users: Optional[np.ndarray] = None) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        mask = (items != PAD_ID if mask is None
-                else np.asarray(mask, dtype=bool))
-        return self.encode_states(self.embed(items), mask, tight=True)
-
-    def encode_tight_with_state(self, items: np.ndarray,
-                                mask: Optional[np.ndarray] = None):
-        """Tight encode that also returns per-layer final hidden states.
-
-        The service caches these so a later append-one-item request can
-        advance the recurrence with :meth:`append_item` instead of
-        re-encoding.  With left padding and step-masked updates the last
-        column holds each layer's final state.
-        """
-        items = np.asarray(items, dtype=np.int64)
-        mask = (items != PAD_ID if mask is None
-                else np.asarray(mask, dtype=bool))
-        hidden = self.embed(items)
-        finals = []
-        for p in self.grus:
-            hidden = X.gru_forward(hidden, p["w_ih"], p["w_hh"], p["b_ih"],
-                                   p["b_hh"], step_mask=mask)
-            finals.append(hidden[:, -1, :])
-        rep = X.linear(X.last_state(hidden, mask), self.w_out, self.b_out)
-        return rep, finals
-
-    # -- incremental (tight-padding) state API -------------------------
-    def init_state(self) -> list:
-        return [np.zeros((1, p["hidden"]), dtype=np.float64)
-                for p in self.grus]
-
-    def append_item(self, state: list, item: int) -> list:
-        """Advance each layer's hidden state by one item (tight stepping)."""
-        x = self.item_table[item][None, :]
-        new_state = []
-        for p, h in zip(self.grus, state):
-            gi = x @ p["w_ih"] + p["b_ih"]
-            h = X.gru_step(gi, h, p["w_hh"], p["b_hh"], p["hidden"])
-            new_state.append(h)
-            x = h
-        return new_state
-
-    def state_repr(self, state: list) -> np.ndarray:
-        return X.linear(state[-1], self.w_out, self.b_out)[0]
+        grus = [_compile_gru(gru) for gru in model.layers]
+        head = {"weight": _snap(model.output_proj.weight),
+                "bias": _snap(model.output_proj.bias)}
+        self.state_names = tuple(f"s{index}" for index in range(len(grus)))
+        encode, tight = [self._embed()], [self._embed()]
+        append = [self._embed("item", "x")]
+        current, below = "states", "x"
+        for index, gru in enumerate(grus):
+            hidden, final = f"h{index}", self.state_names[index]
+            encode.append(step("gru_forward", [current], [hidden], **gru))
+            tight += [step("gru_forward", [current, "mask"], [hidden], **gru),
+                      step("take_last", [hidden], [final])]
+            append += [step("linear", [below], ["gi"], weight=gru["w_ih"],
+                            bias=gru["b_ih"]),
+                       step("gru_step", ["gi", final], [final],
+                            w_hh=gru["w_hh"], b_hh=gru["b_hh"],
+                            hidden=gru["w_hh"].shape[0])]
+            current, below = hidden, final
+        for program in (encode, tight):
+            program += [step("last_state", [current, "mask"], ["last"]),
+                        step("linear", ["last"], ["rep"], **head)]
+        self.programs.update(
+            encode=encode, tight=tight, append=append,
+            readout=[step("linear", [below], ["rep"], **head)])
 
 
 class NARMPlan(FrozenPlan):
     model_name = "NARM"
-    padding_invariant = True
 
     def __init__(self, model):
         super().__init__(_snap(model.item_embedding.weight), model.max_len)
-        self.gru = _compile_gru(model.gru)
-        self.w_query = _snap(model.attn_query.weight)
-        self.w_key = _snap(model.attn_key.weight)
-        self.w_energy = _snap(model.attn_energy.weight)
-        self.w_out = _snap(model.output_proj.weight)
-
-    def encode_states(self, states: np.ndarray, mask: np.ndarray,
-                      tight: bool = False) -> np.ndarray:
-        p = self.gru
-        hidden = X.gru_forward(states, p["w_ih"], p["w_hh"], p["b_ih"],
-                               p["b_hh"], step_mask=mask if tight else None)
-        final = X.last_state(hidden, mask)
-        query = (final @ self.w_query)[:, None, :]
-        keys = hidden @ self.w_key
-        energy = (X.sigmoid(query + keys) @ self.w_energy)[:, :, 0]
-        weights = X.masked_softmax(energy, mask)
-        local = (hidden * weights[:, :, None]).sum(axis=1)
-        combined = np.concatenate([final, local], axis=1)
-        return combined @ self.w_out
-
-    def encode_program(self, states: str, mask: str, out: str,
-                       prefix: str = "") -> list:
-        p = prefix
-        return [
-            _step("gru_forward", [states], [p + "hidden"], traced=True,
-                  **_gru_program(self.gru)),
-            _step("last_state", [p + "hidden", mask], [p + "final"],
-                  traced=True),
-            _step("linear", [p + "final"], [p + "q0"],
-                  weight=_aa(self.w_query)),
-            _step("expand_dims", [p + "q0"], [p + "query"], axis=1),
-            _step("linear", [p + "hidden"], [p + "keys"],
-                  weight=_aa(self.w_key)),
-            _step("add", [p + "query", p + "keys"], [p + "pre"]),
-            _step("sigmoid", [p + "pre"], [p + "act"], traced=True),
-            _step("linear", [p + "act"], [p + "e3"],
-                  weight=_aa(self.w_energy)),
-            _step("squeeze_last", [p + "e3"], [p + "energy"]),
-            _step("masked_softmax", [p + "energy", mask], [p + "weights"],
-                  traced=True),
-            _step("weighted_sum", [p + "hidden", p + "weights"],
-                  [p + "local"]),
-            _step("concat_last", [p + "final", p + "local"],
-                  [p + "combined"]),
-            _step("linear", [p + "combined"], [out],
-                  weight=_aa(self.w_out)),
+        gru = _compile_gru(model.gru)
+        w_query, w_key, w_energy, w_out = (
+            _snap(layer.weight) for layer in (
+                model.attn_query, model.attn_key, model.attn_energy,
+                model.output_proj))
+        attend = [
+            step("last_state", ["hidden", "mask"], ["final"]),
+            step("linear", ["final"], ["q0"], weight=w_query),
+            step("expand_dims", ["q0"], ["query"], axis=1),
+            step("linear", ["hidden"], ["keys"], weight=w_key),
+            step("add", ["query", "keys"], ["pre"]),
+            step("sigmoid", ["pre"], ["act"]),
+            step("linear", ["act"], ["e3"], weight=w_energy),
+            step("squeeze_last", ["e3"], ["energy"]),
+            step("masked_softmax", ["energy", "mask"], ["weights"]),
+            step("weighted_sum", ["hidden", "weights"], ["local"]),
+            step("concat_last", ["final", "local"], ["combined"]),
+            step("linear", ["combined"], ["rep"], weight=w_out),
         ]
-
-    def encode_tight(self, items: np.ndarray,
-                     mask: Optional[np.ndarray] = None,
-                     users: Optional[np.ndarray] = None) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        mask = (items != PAD_ID if mask is None
-                else np.asarray(mask, dtype=bool))
-        return self.encode_states(self.embed(items), mask, tight=True)
+        # Tight serving only adds step masking to the recurrence.
+        self.programs.update(
+            encode=[self._embed(),
+                    step("gru_forward", ["states"], ["hidden"], **gru),
+                    *attend],
+            tight=[self._embed(),
+                   step("gru_forward", ["states", "mask"], ["hidden"],
+                        **gru),
+                   *attend])
 
 
 class STAMPPlan(FrozenPlan):
     model_name = "STAMP"
-    padding_invariant = True
 
     def __init__(self, model):
         super().__init__(_snap(model.item_embedding.weight), model.max_len)
-        self.w1 = _snap(model.w1.weight)
-        self.w2 = _snap(model.w2.weight)
-        self.w3 = _snap(model.w3.weight)
-        self.w0 = _snap(model.w0.weight)
-        self.ws_w, self.ws_b = _snap(model.mlp_s.weight), _snap(model.mlp_s.bias)
-        self.wt_w, self.wt_b = _snap(model.mlp_t.weight), _snap(model.mlp_t.bias)
-
-    def encode_states(self, states: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        last = X.last_state(states, mask)
-        mean = X.masked_mean(states, mask)
-        pre = states @ self.w1
-        pre += (last @ self.w2)[:, None, :]
-        pre += (mean @ self.w3)[:, None, :]
-        energy = (X.sigmoid(pre) @ self.w0)[:, :, 0]
-        weights = X.masked_softmax(energy, mask)
-        memory = (states * weights[:, :, None]).sum(axis=1)
-        h_s = np.tanh(X.linear(memory, self.ws_w, self.ws_b))
-        h_t = np.tanh(X.linear(last, self.wt_w, self.wt_b))
-        return h_s * h_t
-
-    def encode_program(self, states: str, mask: str, out: str,
-                       prefix: str = "") -> list:
-        p = prefix
-        return [
-            _step("last_state", [states, mask], [p + "last"], traced=True),
-            _step("masked_mean", [states, mask], [p + "mean"], traced=True),
-            _step("linear", [states], [p + "pre0"], weight=_aa(self.w1)),
-            _step("linear", [p + "last"], [p + "lastp"],
-                  weight=_aa(self.w2)),
-            _step("expand_dims", [p + "lastp"], [p + "lastp1"], axis=1),
-            _step("add", [p + "pre0", p + "lastp1"], [p + "pre1"]),
-            _step("linear", [p + "mean"], [p + "meanp"],
-                  weight=_aa(self.w3)),
-            _step("expand_dims", [p + "meanp"], [p + "meanp1"], axis=1),
-            _step("add", [p + "pre1", p + "meanp1"], [p + "pre"]),
-            _step("sigmoid", [p + "pre"], [p + "act"], traced=True),
-            _step("linear", [p + "act"], [p + "e3"], weight=_aa(self.w0)),
-            _step("squeeze_last", [p + "e3"], [p + "energy"]),
-            _step("masked_softmax", [p + "energy", mask], [p + "weights"],
-                  traced=True),
-            _step("weighted_sum", [states, p + "weights"], [p + "memory"]),
-            _step("linear", [p + "memory"], [p + "hs0"], traced=True,
-                  weight=_aa(self.ws_w), bias=_aa(self.ws_b)),
-            _step("tanh", [p + "hs0"], [p + "h_s"]),
-            _step("linear", [p + "last"], [p + "ht0"], traced=True,
-                  weight=_aa(self.wt_w), bias=_aa(self.wt_b)),
-            _step("tanh", [p + "ht0"], [p + "h_t"]),
-            _step("mul", [p + "h_s", p + "h_t"], [out]),
+        w1, w2, w3, w0 = (_snap(layer.weight) for layer in (
+            model.w1, model.w2, model.w3, model.w0))
+        encode = [
+            self._embed(),
+            step("last_state", ["states", "mask"], ["last"]),
+            step("masked_mean", ["states", "mask"], ["mean"]),
+            step("linear", ["states"], ["pre0"], weight=w1),
+            step("linear", ["last"], ["lastp"], weight=w2),
+            step("expand_dims", ["lastp"], ["lastp1"], axis=1),
+            step("add", ["pre0", "lastp1"], ["pre1"]),
+            step("linear", ["mean"], ["meanp"], weight=w3),
+            step("expand_dims", ["meanp"], ["meanp1"], axis=1),
+            step("add", ["pre1", "meanp1"], ["pre"]),
+            step("sigmoid", ["pre"], ["act"]),
+            step("linear", ["act"], ["e3"], weight=w0),
+            step("squeeze_last", ["e3"], ["energy"]),
+            step("masked_softmax", ["energy", "mask"], ["weights"]),
+            step("weighted_sum", ["states", "weights"], ["memory"]),
+            step("linear", ["memory"], ["hs0"], weight=_snap(model.mlp_s.weight),
+                 bias=_snap(model.mlp_s.bias)),
+            step("tanh", ["hs0"], ["h_s"]),
+            step("linear", ["last"], ["ht0"], weight=_snap(model.mlp_t.weight),
+                 bias=_snap(model.mlp_t.bias)),
+            step("tanh", ["ht0"], ["h_t"]),
+            step("mul", ["h_s", "h_t"], ["rep"]),
         ]
+        # Masked pooling over valid positions: padding width never
+        # reaches the output, so the tight program is the encode program.
+        self.programs.update(encode=encode, tight=encode)
 
 
 class CaserPlan(FrozenPlan):
@@ -740,78 +486,30 @@ class CaserPlan(FrozenPlan):
 
     def __init__(self, model):
         super().__init__(_snap(model.item_embedding.weight), model.max_len)
-        self.filter_heights = model.filter_heights
-        self.h_convs = [(_snap(conv.weight), _snap(conv.bias),
-                         conv.out_channels)
-                        for conv in model.h_convs]
-        self.v_width = model.v_conv.in_features
-        self.w_vert = _snap(model.v_conv.weight)
-        self.num_v_filters = model.num_v_filters
-        self.w_fc = _snap(model.fc.weight)
-        self.b_fc = _snap(model.fc.bias)
-
-    def encode_states(self, states: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        batch, length, dim = states.shape
-        states = states * np.asarray(mask, np.float64)[:, :, None]
-        image = np.ascontiguousarray(states.transpose(0, 2, 1))  # (B, d, L)
-        features = []
-        for (weight, bias, out_channels), height in zip(self.h_convs,
-                                                        self.filter_heights):
-            if length < height:
-                features.append(np.zeros((batch, out_channels),
-                                         dtype=np.float64))
-                continue
-            features.append(X.conv1d_relu_pool(image, weight, bias, height))
-        padded = self._fit_length(image, self.v_width)
-        vertical = X.relu(padded @ self.w_vert)           # (B, d, nv)
-        features.append(vertical.reshape(batch, dim * self.num_v_filters))
-        return X.linear(np.concatenate(features, axis=1),
-                        self.w_fc, self.b_fc)
-
-    def encode_program(self, states: str, mask: str, out: str,
-                       prefix: str = "") -> list:
-        p = prefix
         steps = [
-            _step("mask_states", [states, mask], [p + "masked"]),
-            _step("to_image", [p + "masked"], [p + "image"]),
+            self._embed(),
+            step("mask_states", ["states", "mask"], ["masked"]),
+            step("to_image", ["masked"], ["image"]),
         ]
         features = []
-        length = int(self.max_len)
-        for index, ((weight, bias, out_channels), height) in enumerate(
-                zip(self.h_convs, self.filter_heights)):
-            name = f"{p}feat{index}"
-            if length < height:
-                steps.append(_step("const_zeros", [], [name],
-                                   shape=(int(out_channels),)))
-            else:
-                steps.append(_step("conv1d_relu_pool", [p + "image"],
-                                   [name], traced=True, weight=_aa(weight),
-                                   bias=_aa(bias), kernel=int(height)))
-            features.append(name)
+        for index, (conv, height) in enumerate(zip(model.h_convs,
+                                                   model.filter_heights)):
+            features.append(f"feat{index}")
+            steps.append(step("conv1d_relu_pool", ["image"], [features[-1]],
+                              weight=_snap(conv.weight),
+                              bias=_snap(conv.bias), kernel=int(height)))
         steps += [
-            _step("fit_length", [p + "image"], [p + "padded"],
-                  width=int(self.v_width)),
-            _step("linear", [p + "padded"], [p + "vert0"],
-                  weight=_aa(self.w_vert)),
-            _step("relu", [p + "vert0"], [p + "vert"], traced=True),
-            _step("reshape_merge_last2", [p + "vert"], [p + "vflat"]),
-            _step("concat_last", features + [p + "vflat"],
-                  [p + "features"]),
-            _step("linear", [p + "features"], [out], traced=True,
-                  weight=_aa(self.w_fc), bias=_aa(self.b_fc)),
+            step("fit_length", ["image"], ["padded"],
+                 width=int(model.v_conv.in_features)),
+            step("linear", ["padded"], ["vert0"],
+                 weight=_snap(model.v_conv.weight)),
+            step("relu", ["vert0"], ["vert"]),
+            step("reshape_merge_last2", ["vert"], ["vflat"]),
+            step("concat_last", features + ["vflat"], ["features"]),
+            step("linear", ["features"], ["rep"], weight=_snap(model.fc.weight),
+                 bias=_snap(model.fc.bias)),
         ]
-        return steps
-
-    @staticmethod
-    def _fit_length(image: np.ndarray, width: int) -> np.ndarray:
-        batch, dim, length = image.shape
-        if length == width:
-            return image
-        if length > width:
-            return image[:, :, length - width:]
-        padded = np.zeros((batch, dim, width), dtype=np.float64)
-        padded[:, :, width - length:] = image
-        return padded
+        self.programs["encode"] = steps
 
 
 class SSDRecPlan(FrozenPlan):
@@ -822,7 +520,10 @@ class SSDRecPlan(FrozenPlan):
     ``forward_batch``, so this alone removes the dominant serving cost.
     Stage 2 (self-augmentation) is training-only and never part of the
     plan; stage 3 compiles the ``NoiseGate`` into a deterministic
-    threshold executor at the frozen temperature.
+    threshold gate at the frozen temperature.  The encode program is
+    three segments — user injection, the gate (absent when stage 3 is
+    ablated) and the backbone's encode steps after its embedding — run
+    by :meth:`sequence_states`, :meth:`_gate_keep` and :meth:`encode`.
     """
 
     model_name = "SSDRec"
@@ -831,114 +532,62 @@ class SSDRecPlan(FrozenPlan):
                  item_table: np.ndarray, user_table: np.ndarray,
                  gate: Optional[dict]):
         super().__init__(item_table, model.max_len)
-        self.user_table = np.ascontiguousarray(user_table)
         self.backbone_plan = backbone_plan
-        self.gate = gate
+        self._inject = [
+            self._embed(out="h_v"),
+            step("user_inject", ["h_v", "mask", "users"], ["states"],
+                 user_table=np.ascontiguousarray(user_table)),
+        ]
+        self._gate = [] if gate is None else [
+            step("gru_forward", ["states"], ["context"], **gate["gru"]),
+            step("mul", ["states", "context"], ["sc"]),
+            step("linear", ["sc"], ["se3"], weight=gate["seq_w"],
+                 bias=gate["seq_b"]),
+            step("squeeze_last", ["se3"], ["seq_energy"]),
+            step("masked_mean", ["states", "mask"], ["interest"]),
+            step("linear", ["interest"], ["projected"],
+                 weight=gate["interest_w"]),
+            step("expand_dims", ["projected"], ["proj1"], axis=1),
+            step("mul", ["states", "proj1"], ["up"]),
+            step("sum_last", ["up"], ["up_sum"]),
+            step("scale", ["up_sum"], ["user_energy"],
+                 factor=1.0 / np.sqrt(self.dim)),
+            step("standardize", ["seq_energy", "mask"], ["z_seq"]),
+            step("standardize", ["user_energy", "mask"], ["z_user"]),
+            step("gate_combine", ["z_seq", "z_user"], ["logits"],
+                 w_seq=gate["w_seq"], w_user=gate["w_user"],
+                 bias=gate["bias"], tau=gate["tau"]),
+            step("sigmoid", ["logits"], ["soft"]),
+            # The keep mask replaces the sequence mask downstream.
+            step("threshold_keep", ["soft", "mask"], ["keep", "mask"]),
+            step("apply_keep", ["states", "keep"], ["states"]),
+        ]
+        self._backbone = backbone_plan.programs["encode"][1:]
+        self.programs["encode"] = self._inject + self._gate + self._backbone
 
     def sequence_states(self, items: np.ndarray, mask: np.ndarray,
                         users: Optional[np.ndarray]) -> np.ndarray:
-        h_v = self.embed(items)
-        if users is None:
-            return h_v
-        lengths = np.maximum(mask.sum(axis=1), 1)
-        h_u = self.user_table[np.asarray(users)]
-        scaled = h_u * (1.0 / lengths[:, None].astype(np.float64))
-        valid = np.asarray(mask, np.float64)[:, :, None]
-        return h_v + scaled[:, None, :] * valid
+        """Embed + user injection (``h_v + h_u / n``)."""
+        env = {"items": items, "mask": mask, "users": users}
+        return execute(self._inject, env)["states"]
 
-    def _gate_keep(self, states: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """NoiseGate at evaluation: deterministic threshold keep gate.
+    def _gate_keep(self, states: np.ndarray, mask: np.ndarray):
+        """NoiseGate at evaluation: ``(kept states, keep mask)``.
 
         Mirrors ``HierarchicalDenoising.forward`` with no augmented
         sequence — the guidance is the raw states/mask themselves.
         """
-        g = self.gate
-        p = g["gru"]
-        context = X.gru_forward(states, p["w_ih"], p["w_hh"], p["b_ih"],
-                                p["b_hh"])
-        seq_energy = ((states * context) @ g["seq_w"] + g["seq_b"])[:, :, 0]
-        weights = mask.astype(np.float64)
-        denom = np.maximum(weights.sum(axis=1, keepdims=True), 1.0)
-        interest = (states * weights[:, :, None]).sum(axis=1) / denom
-        projected = interest @ g["interest_w"]
-        user_energy = ((states * projected[:, None, :]).sum(axis=-1)
-                       * (1.0 / np.sqrt(self.dim)))
-        logits = (X.standardize(seq_energy, mask) * g["w_seq"]
-                  + X.standardize(user_energy, mask) * g["w_user"]
-                  + g["bias"])
-        soft = X.sigmoid(logits / g["tau"])
-        keep = (soft > 0.5).astype(np.float64)
-        keep *= weights
-        return keep
+        env = execute(self._gate, {"states": states, "mask": mask})
+        return env["states"], env["mask"]
 
     def encode(self, items: np.ndarray, mask: Optional[np.ndarray] = None,
                users: Optional[np.ndarray] = None) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        if mask is None:
-            mask = items != PAD_ID
-        else:
-            mask = np.asarray(mask, dtype=bool)
+        items, mask = _batch(items, mask)
         states = self.sequence_states(items, mask, users)
-        final_mask = mask
-        if self.gate is not None:
-            keep = self._gate_keep(states, mask)
-            keep_mask = (keep > 0.5) & mask
-            empty = ~keep_mask.any(axis=1)
-            if empty.any():
-                keep_mask[empty] = mask[empty]
-            states = states * keep[:, :, None]
-            final_mask = keep_mask
-        return self.backbone_plan.encode_states(states, final_mask)
-
-    def program(self) -> list:
-        """Denoise-then-encode program: gate, keep mask, backbone splice.
-
-        Describes the ``users``-present path (the serving path always
-        routes a user id); a ``users=None`` call skips the injection but
-        shares every downstream shape.
-        """
-        steps = [
-            _step("embed", ["items"], ["h_v"], table=_aa(self.item_table)),
-            _step("user_inject", ["h_v", "mask", "users"], ["states"],
-                  user_table=_aa(self.user_table)),
-        ]
-        if self.gate is not None:
-            g = self.gate
-            steps += [
-                _step("gru_forward", ["states"], ["context"], traced=True,
-                      **_gru_program(g["gru"])),
-                _step("mul", ["states", "context"], ["sc"]),
-                _step("linear", ["sc"], ["se3"], weight=_aa(g["seq_w"]),
-                      bias=_aa(g["seq_b"])),
-                _step("squeeze_last", ["se3"], ["seq_energy"]),
-                _step("masked_mean", ["states", "mask"], ["interest"]),
-                _step("linear", ["interest"], ["projected"],
-                      weight=_aa(g["interest_w"])),
-                _step("expand_dims", ["projected"], ["proj1"], axis=1),
-                _step("mul", ["states", "proj1"], ["up"]),
-                _step("sum_last", ["up"], ["user_energy"]),
-                _step("standardize", ["seq_energy", "mask"], ["z_seq"],
-                      traced=True),
-                _step("standardize", ["user_energy", "mask"], ["z_user"],
-                      traced=True),
-                _step("gate_combine", ["z_seq", "z_user"], ["logits"],
-                      w_seq=float(g["w_seq"]), w_user=float(g["w_user"]),
-                      bias=float(g["bias"]), tau=float(g["tau"])),
-                _step("sigmoid", ["logits"], ["soft"], traced=True),
-                _step("threshold_keep", ["soft", "mask"],
-                      ["keep", "keep_mask"]),
-                _step("apply_keep", ["states", "keep"], ["gated"]),
-            ]
-            steps += self.backbone_plan.encode_program(
-                "gated", "keep_mask", "rep", prefix="bb.")
-        else:
-            steps += self.backbone_plan.encode_program(
-                "states", "mask", "rep", prefix="bb.")
-        steps.append(_step("score", ["rep"], ["scores"],
-                           table_t=_aa(self.table_t),
-                           masked_columns=list(self.masked_columns)))
-        steps += self._ann_program()
-        return steps
+        if self._gate:
+            states, mask = self._gate_keep(states, mask)
+        return execute(self._backbone,
+                       {"states": states, "mask": mask})["rep"]
 
 
 class FallbackPlan(FrozenPlan):
@@ -957,14 +606,12 @@ class FallbackPlan(FrozenPlan):
         self.model = model
         self.max_len = getattr(model, "max_len", None)
         self.masked_columns = (PAD_ID,)
-
-    def program(self) -> list:
-        raise NotImplementedError(
-            "FallbackPlan wraps a live model graph; there is no compiled "
-            "step list to verify")
-
-    def verify(self):
-        return None
+        self.programs = {}
+        # Decided once: a TypeError raised *inside* a users-aware
+        # forward must propagate, not silently drop the users.
+        params = inspect.signature(model.forward).parameters.values()
+        self._takes_users = any(
+            p.name == "users" or p.kind is p.VAR_KEYWORD for p in params)
 
     def _call(self, fn, *args, **kwargs) -> np.ndarray:
         with inference_mode(self.model):
@@ -973,10 +620,9 @@ class FallbackPlan(FrozenPlan):
 
     def forward(self, items: np.ndarray, mask: Optional[np.ndarray] = None,
                 users: Optional[np.ndarray] = None) -> np.ndarray:
-        try:
+        if self._takes_users:
             return self._call(self.model.forward, items, mask, users=users)
-        except TypeError:
-            return self._call(self.model.forward, items, mask)
+        return self._call(self.model.forward, items, mask)
 
     def forward_batch(self, batch) -> np.ndarray:
         fn = getattr(self.model, "forward_batch", None)
@@ -1057,9 +703,9 @@ def freeze(model, verify: bool = True, ann: bool = False,
            ann_clusters: Optional[int] = None) -> FrozenPlan:
     """Compile ``model`` into a frozen forward plan.
 
-    Exact-type dispatch: subclasses that override ``encode_states`` would
-    silently diverge from the compiled executor, so anything not in the
-    registry (by exact class name) gets the :class:`FallbackPlan`.
+    Exact-type dispatch: a subclass that overrides its parent's forward
+    would silently diverge from the compiled program, so anything not in
+    the registry (by exact class name) gets the :class:`FallbackPlan`.
 
     With ``verify=True`` (the default) the compiled plan's program is
     abstract-interpreted against the recorded weight shapes/dtypes

@@ -3,9 +3,12 @@
 Frozen plans carry every weight as a float64 array; for shipping plans
 to serving workers (the cluster pickle spool) and for cold storage
 that is 8x / 4x more bytes than needed.  :func:`quantize_plan` walks a
-plan's object graph — nested encoder-layer dicts, recurrent cell
-parameter packs, the SSDRec backbone plan, everything — and replaces
-each floating array with a compact :class:`QuantizedArray` record:
+plan's object graph — its step programs, the item table, the SSDRec
+backbone plan, everything — and replaces each floating array with a
+compact :class:`QuantizedArray` record.  Programs share arrays (the
+item table feeds several embed steps, a GRU cell every recurrent
+program), so each distinct array is quantized once and its record
+shared wherever the array was:
 
 ``int8``
     Per-row affine code: for each row of the array (flattened to 2-D
@@ -163,7 +166,8 @@ class QuantizedPlan:
         return found
 
     def nbytes(self) -> int:
-        return sum(qa.nbytes for qa in self.weights().values())
+        records = {id(qa): qa for qa in self.weights().values()}
+        return sum(qa.nbytes for qa in records.values())
 
     def dequantize(self, verify: bool = True):
         """Reconstruct the servable plan; verify unless told not to."""
@@ -221,10 +225,13 @@ def _walk(root, visit, root_path: str) -> None:
 
     ``visit(value, path)`` may return a replacement for any leaf;
     containers (dicts, lists, plan-object ``__dict__``s) are rewritten
-    in place.  Tuples are treated as immutable leaves-of-leaves (plan
-    metadata like ``masked_columns`` — never weight storage).
+    in place.  A replaced leaf is visited once: every later reference
+    to it gets the same replacement.  Tuples are treated as immutable
+    leaves-of-leaves (plan metadata like ``masked_columns`` — never
+    weight storage).
     """
     seen = set()
+    replaced = {}   # id -> (original, replacement); keeps ids unique
 
     def rewrite(container, key, value, path):
         replaced = step(value, path)
@@ -232,8 +239,11 @@ def _walk(root, visit, root_path: str) -> None:
             container[key] = replaced
 
     def step(value, path):
+        if id(value) in replaced:
+            return replaced[id(value)][1]
         out = visit(value, path)
         if out is not value:
+            replaced[id(value)] = (value, out)
             return out
         if id(value) in seen:
             return value

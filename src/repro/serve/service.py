@@ -21,9 +21,9 @@ Padding modes
     Batches pad only to the longest queued sequence; recurrent plans
     step through valid positions only and attention plans use their
     canonical right-aligned position layout.  Padding-width invariant
-    by construction (requires ``plan.padding_invariant`` or
-    ``plan.supports_tight``) and the only mode where incremental append
-    is sound.
+    by construction (requires a ``"tight"`` program on the plan) and the
+    only mode where incremental append (an ``"append"`` program) is
+    sound.
 
 Failure isolation
 -----------------
@@ -50,7 +50,7 @@ import numpy as np
 from ..data.batching import pad_sequences
 from ..resilience.faults import fault_point
 from .ann import DEFAULT_NPROBE
-from .plan import FrozenPlan, attach_ann_index, freeze
+from .plan import FrozenPlan, attach_ann_index, check_padding, freeze
 from .retrieval import topk_from_scores
 
 
@@ -149,13 +149,7 @@ class RecommendService:
                 plan.verify()
         else:
             plan = freeze(model_or_plan, verify=verify)
-        if padding not in ("model", "tight"):
-            raise ValueError(f"padding must be 'model' or 'tight', got {padding!r}")
-        if padding == "tight" and not (plan.padding_invariant
-                                       or plan.supports_tight):
-            raise ValueError(
-                f"{plan.model_name} is padding-width sensitive; "
-                "tight padding would change its scores — use padding='model'")
+        check_padding(plan, padding)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if retrieval not in ("exact", "ann"):
@@ -176,7 +170,7 @@ class RecommendService:
         self.cache_size = int(cache_size)
         self.padding = padding
         self._incremental = (padding == "tight"
-                             and plan.supports_incremental
+                             and "append" in plan.programs
                              and self.cache_size > 0)
         self._cache: OrderedDict = OrderedDict()
         #: user -> {"seq", "state"}: the rolling incremental state.
@@ -299,7 +293,7 @@ class RecommendService:
         entry, then the per-user rolling state.  The rolling probe
         accepts a *grow* (previous request was exactly ``seq[:-1]``) or
         — on plans whose state summarizes the full history
-        (``plan.incremental_rollover``) — a window *slide*: both
+        (``plan.rolls_over``) — a window *slide*: both
         sequences sit at ``max_len`` and ``seq`` drops the oldest item
         for one new one.  A slid hit advances the full-history state, so
         its result tracks the untruncated sequence (exact w.r.t. the
@@ -317,7 +311,7 @@ class RecommendService:
                 prev_seq = rolled["seq"]
                 grow = (len(seq) == len(prev_seq) + 1
                         and seq[:-1] == prev_seq)
-                slide = (self.plan.incremental_rollover
+                slide = (self.plan.rolls_over
                          and self.plan.max_len is not None
                          and len(seq) == len(prev_seq) == self.plan.max_len
                          and seq[:-1] == prev_seq[1:])
@@ -535,11 +529,7 @@ class RecommendService:
                 incoming.verify()
         else:
             incoming = freeze(model_or_plan, verify=verify)
-        if self.padding == "tight" and not (incoming.padding_invariant
-                                            or incoming.supports_tight):
-            raise ValueError(
-                f"{incoming.model_name} is padding-width sensitive; "
-                "this service runs padding='tight'")
+        check_padding(incoming, self.padding)
         if self.retrieval == "ann":
             if not incoming.supports_encode:
                 raise ValueError(
@@ -550,7 +540,7 @@ class RecommendService:
         previous = self.plan
         self.plan = incoming
         self._incremental = (self.padding == "tight"
-                             and incoming.supports_incremental
+                             and "append" in incoming.programs
                              and self.cache_size > 0)
         self._cache.clear()
         self._user_state.clear()

@@ -1,9 +1,11 @@
 """Tests for the abstract shape/dtype interpreter and plan verifier.
 
-Covers the lattice primitives, end-to-end verification + runtime
-cross-validation of every registered backbone (and SSDRec variants),
-structured failures on deliberately corrupted plans at ``freeze()`` and
-spool-load time, and the abstract memory-footprint estimates.
+Covers the lattice primitives, end-to-end verification of every
+registered backbone (and SSDRec variants) cross-checked step by step
+against concrete runs of the same programs, the serving facts derived
+from which programs a plan has, structured failures on deliberately
+corrupted plans at ``freeze()`` and spool-load time, and the abstract
+memory-footprint estimates.
 """
 
 import pickle
@@ -11,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.analysis.dataflow import (PlanVerificationError, cross_validate,
+from repro.analysis.dataflow import (PlanVerificationError,
                                      default_plan_footprints,
                                      memory_footprint, plan_inputs,
                                      run_program, verify_plan)
@@ -23,6 +25,7 @@ from repro.data import generate
 from repro.models import BACKBONES, GRU4Rec
 from repro.serve import FallbackPlan, freeze
 from repro.serve.cluster import ClusterService
+from repro.serve.program import OPS, execute, run_step
 from repro.serve.service import RecommendService
 
 DIM = 16
@@ -30,9 +33,82 @@ MAX_LEN = 12
 NUM_ITEMS = 60
 
 
+#: Serving facts per backbone — (tight, incremental, rollover) — equal
+#: to the class flags they replace (padding_invariant or supports_tight,
+#: supports_incremental, incremental_rollover).
+SERVING_FACTS = {
+    "SASRec": (True, True, False),
+    "BERT4Rec": (False, False, False),
+    "GRU4Rec": (True, True, True),
+    "NARM": (True, False, False),
+    "STAMP": (True, False, False),
+    "Caser": (False, False, False),
+}
+
+ANN_PSEUDO_OPS = {"centroid_scores", "probe_clusters", "ann_gather_topk"}
+
+
 def build_backbone(name: str, seed: int = 3):
     return BACKBONES[name](num_items=NUM_ITEMS, dim=DIM, max_len=MAX_LEN,
                            rng=np.random.default_rng(seed))
+
+
+def serving_facts(plan):
+    return ("tight" in plan.programs, "append" in plan.programs,
+            plan.rolls_over)
+
+
+def corrupt_gru_weight(plan):
+    """Downcast ``w_hh`` of the first GRU step, as the program holds it."""
+    entry = next(e for e in plan.programs["encode"]
+                 if e["op"] == "gru_forward")
+    entry["params"]["w_hh"] = entry["params"]["w_hh"].astype(np.float32)
+
+
+def run_like_trace(program, trace, env, batch):
+    """Execute ``program`` step by step through the interpreter, checking
+    every output's concrete shape/dtype against the abstract trace."""
+    assert len(program) == len(trace)
+    for entry, expected in zip(program, trace):
+        run_step(entry, env)
+        for name, value in zip(entry["out"], expected.outputs):
+            got = np.asarray(env[name])
+            assert (got.shape, str(got.dtype)) == (
+                value.concretize(batch), value.dtype), (
+                f"step {expected.index} ({entry['op']}) output {name!r}")
+    return env
+
+
+def check_every_program(plan, batch: int = 3, seed: int = 0):
+    """Verify ``plan`` and run every program it serves against the trace,
+    from the same inputs ``verify_plan`` interprets abstractly."""
+    traces = verify_plan(plan)
+    rng = np.random.default_rng(seed)
+    vocab = plan.item_table.shape[0]
+
+    def inputs(length):
+        return {"items": rng.integers(1, vocab, size=(batch, length)),
+                "mask": np.ones((batch, length), dtype=bool),
+                "users": np.zeros(batch, dtype=np.int64)}
+
+    run_like_trace(plan.program(), traces["forward"],
+                   inputs(plan.max_len), batch)
+    programs = plan.programs
+    assert set(traces) == {"forward"} | (set(programs) - {"encode",
+                                                          "score"})
+    if "tight" in programs:
+        run_like_trace(programs["tight"], traces["tight"],
+                       inputs(plan.max_len), batch)
+    if "append" in programs:
+        env = execute(programs["tight"], inputs(plan.max_len - 1))
+        state = {name: env[name] for name in plan.state_names}
+        state["item"] = rng.integers(1, vocab, size=batch)
+        env = run_like_trace(programs["append"], traces["append"], state,
+                             batch)
+        run_like_trace(programs["readout"], traces["readout"],
+                       {name: env[name] for name in plan.state_names},
+                       batch)
+    return traces
 
 
 class TestAbstractValue:
@@ -57,16 +133,23 @@ class TestAbstractValue:
         assert len(SIGNATURES) >= 30
         assert all(callable(fn) for fn in SIGNATURES.values())
 
+    def test_op_table_and_signatures_name_the_same_ops(self):
+        # Every runnable op is verifiable and vice versa; only the ANN
+        # pseudo-ops are verifier-only.
+        assert set(OPS) == set(SIGNATURES) - ANN_PSEUDO_OPS
+
 
 class TestBackbonePlans:
     @pytest.mark.parametrize("name", sorted(BACKBONES))
     def test_verify_and_cross_validate(self, name):
         plan = freeze(build_backbone(name))  # verify=True already ran
-        trace = verify_plan(plan)
-        assert trace, name
-        assert any(entry.traced for entry in trace)
-        # Sanitizer-style ground truth: one real forward, exact match.
-        assert cross_validate(plan) >= 1
+        traces = check_every_program(plan)
+        assert traces["forward"], name
+
+    @pytest.mark.parametrize("name", sorted(BACKBONES))
+    def test_serving_facts_derive_from_programs(self, name):
+        assert serving_facts(freeze(build_backbone(name))) == \
+            SERVING_FACTS[name]
 
     def test_program_final_output_is_scores(self):
         plan = freeze(build_backbone("SASRec"))
@@ -88,8 +171,9 @@ class TestSSDRecPlans:
                        config=SSDRecConfig(dim=DIM, max_len=MAX_LEN),
                        rng=np.random.default_rng(1))
         plan = freeze(model)
-        assert verify_plan(plan)
-        assert cross_validate(plan) >= 1
+        traces = check_every_program(plan)
+        assert any(entry.op == "scale" for entry in traces["forward"])
+        assert serving_facts(plan) == (False, False, False)
 
     def test_gateless_variant_verifies(self, dataset):
         model = SSDRec(dataset, backbone_cls=GRU4Rec,
@@ -97,8 +181,10 @@ class TestSSDRecPlans:
                                            use_stage3=False),
                        rng=np.random.default_rng(4))
         plan = freeze(model)
-        assert verify_plan(plan)
-        assert cross_validate(plan) >= 1
+        traces = check_every_program(plan)
+        assert not any(entry.op == "threshold_keep"
+                       for entry in traces["forward"])
+        assert serving_facts(plan) == (False, False, False)
 
     def test_fallback_plan_is_skipped_not_failed(self, dataset):
         model = SSDRec(dataset, backbone_cls=GRU4Rec,
@@ -109,6 +195,7 @@ class TestSSDRecPlans:
         assert isinstance(plan, FallbackPlan)
         assert verify_plan(plan) is None
         assert memory_footprint(plan) is None
+        assert not plan.programs and not plan.rolls_over
 
 
 class TestCorruptedPlans:
@@ -126,7 +213,7 @@ class TestCorruptedPlans:
 
     def test_wrong_weight_dtype_fails_verification(self):
         plan = freeze(build_backbone("GRU4Rec"))
-        plan.grus[0]["w_hh"] = plan.grus[0]["w_hh"].astype(np.float32)
+        corrupt_gru_weight(plan)
         with pytest.raises(PlanVerificationError) as excinfo:
             plan.verify()
         err = excinfo.value
@@ -156,7 +243,7 @@ class TestCorruptedPlans:
 class TestServiceVerifyWiring:
     def _corrupt(self):
         plan = freeze(build_backbone("GRU4Rec"))
-        plan.grus[0]["w_hh"] = plan.grus[0]["w_hh"].astype(np.float32)
+        corrupt_gru_weight(plan)
         return plan
 
     def test_recommend_service_verifies_by_default(self):
@@ -175,7 +262,7 @@ class TestServiceVerifyWiring:
         try:
             with open(service._plan_path, "rb") as fh:
                 bad = pickle.load(fh)
-            bad.grus[0]["w_hh"] = bad.grus[0]["w_hh"].astype(np.float32)
+            corrupt_gru_weight(bad)
             with open(service._plan_path, "wb") as fh:
                 pickle.dump(bad, fh)
             service.kill_worker(0)

@@ -41,9 +41,8 @@ class TestLiveTree:
                               "serve-graph-free", "worker-boundary",
                               "experiments-via-registry",
                               "atomic-persistence", "dtype-discipline",
-                              "buffer-aliasing", "plan-signature",
-                              "exact-oracle", "bounded-memory",
-                              "event-log-atomic"}
+                              "buffer-aliasing", "exact-oracle",
+                              "bounded-memory"}
 
     def test_unknown_rule_raises(self):
         with pytest.raises(ValueError, match="unknown lint rules"):
@@ -357,6 +356,9 @@ class TestAtomicPersistenceRule:
 
 
 class TestEventLogAtomicRule:
+    """The event log and online fine-tune store are persistence modules
+    too: the same ``atomic-persistence`` rule covers them."""
+
     def test_flags_inplace_writes_in_eventlog_modules(self, tmp_path):
         root = write_tree(tmp_path / "repro", {"data/eventlog.py": """
             import json
@@ -365,9 +367,9 @@ class TestEventLogAtomicRule:
                 (path / "segment-000000.npy").write_bytes(payload)
                 (path / "manifest.json").write_text(json.dumps(manifest))
         """})
-        violations = run_lint(root, rules=["event-log-atomic"])
+        violations = run_lint(root, rules=["atomic-persistence"])
         assert [v.line for v in violations] == [5, 6]
-        assert all(v.rule == "event-log-atomic" for v in violations)
+        assert all(v.rule == "atomic-persistence" for v in violations)
 
     def test_clean_with_atomic_helpers(self, tmp_path):
         root = write_tree(tmp_path / "repro", {
@@ -392,7 +394,7 @@ class TestEventLogAtomicRule:
                     return atomic_write_text(entry / "metrics.json", text)
             """,
         })
-        assert run_lint(root, rules=["event-log-atomic"]) == []
+        assert run_lint(root, rules=["atomic-persistence"]) == []
 
 
 class TestDtypeDisciplineRule:
@@ -474,56 +476,6 @@ class TestBufferAliasingRule:
                 return out.copy()
         """})
         assert run_lint(root, rules=["buffer-aliasing"]) == []
-
-
-class TestPlanSignatureRule:
-    def test_flags_unregistered_ops_and_programless_plans(self, tmp_path):
-        root = write_tree(tmp_path / "repro", {
-            "analysis/signatures.py": """
-                def signature(*names):
-                    def register(fn):
-                        return fn
-                    return register
-
-                @signature("linear")
-                def sig_linear(ins, params):
-                    return ins
-            """,
-            "serve/executors.py": """
-                def linear(x, w, b):
-                    return x @ w + b
-
-                def mystery(x):
-                    return x
-
-                def _helper(x):
-                    return x
-            """,
-            "serve/plan.py": """
-                from . import executors as X
-
-                class FrozenPlan:
-                    pass
-
-                class GoodPlan(FrozenPlan):
-                    def encode_program(self, states, mask, out, prefix=""):
-                        return []
-
-                class BadPlan(FrozenPlan):
-                    def forward(self, items):
-                        return X.mystery(X.linear(items, None, None))
-            """,
-        })
-        violations = run_lint(root, rules=["plan-signature"])
-        messages = [v.message for v in violations]
-        assert len(violations) == 3
-        assert any("executor 'mystery'" in m for m in messages)
-        assert any("X.mystery()" in m for m in messages)
-        assert any("'BadPlan'" in m for m in messages)
-
-    def test_tree_without_serving_layer_is_clean(self, tmp_path):
-        root = write_tree(tmp_path / "repro", {"models/net.py": "x = 1\n"})
-        assert run_lint(root, rules=["plan-signature"]) == []
 
 
 class TestExactOracleRule:
@@ -626,7 +578,7 @@ class TestStaticCheckScript:
         proc = self._run("--rules", "no-such-rule")
         assert proc.returncode == 2
         assert "unknown rules: no-such-rule" in proc.stderr
-        assert "plan-signature" in proc.stderr
+        assert "atomic-persistence" in proc.stderr
 
     def test_scripts_root_swept_for_unseeded_rng(self, tmp_path):
         src = write_tree(tmp_path / "repro", {"models/ok.py": "x = 1\n"})
@@ -722,7 +674,7 @@ class TestCliLintSubcommand:
         assert json.loads(report.read_text())["violations"] == []
 
     def test_rule_subset_runs(self):
-        proc = self._run("--rules", "unseeded-rng", "plan-signature")
+        proc = self._run("--rules", "unseeded-rng", "atomic-persistence")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "2 rules" in proc.stdout
 

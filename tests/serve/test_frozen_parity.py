@@ -7,7 +7,7 @@ from repro.core import SSDRec, SSDRecConfig
 from repro.data import generate
 from repro.data.batching import pad_sequences
 from repro.models import BACKBONES, GRU4Rec, SASRec, SRGNN
-from repro.nn import no_grad
+from repro.nn import Module, Tensor, no_grad
 from repro.serve import FallbackPlan, freeze
 
 DIM = 16
@@ -64,6 +64,23 @@ def test_subclass_of_registered_model_falls_back():
     model = TweakedSASRec(num_items=NUM_ITEMS, dim=DIM, max_len=MAX_LEN,
                           rng=np.random.default_rng(0))
     assert isinstance(freeze(model), FallbackPlan)
+
+
+def test_fallback_propagates_type_error_inside_users_aware_forward():
+    """A TypeError raised *inside* a forward that takes ``users`` is a
+    bug to surface, not a cue to retry without user injection."""
+    class UsersAware(Module):
+        max_len = MAX_LEN
+
+        def forward(self, items, mask=None, users=None):
+            if users is not None:   # a bug on the user-injection path
+                raise TypeError("gate kernel received a bad operand")
+            return Tensor(np.zeros((len(items), NUM_ITEMS + 1)))
+
+    plan = FallbackPlan(UsersAware())
+    items, mask = random_batch(np.random.default_rng(2))
+    with pytest.raises(TypeError, match="bad operand"):
+        plan.forward(items, mask, users=np.ones(len(items), dtype=np.int64))
 
 
 class TestSSDRecParity:
