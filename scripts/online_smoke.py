@@ -45,7 +45,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.report import finish, write_json_report  # noqa: E402
 from repro.data import open_event_log  # noqa: E402
-from repro.data.dataset import leave_one_out_split  # noqa: E402
+from repro.data import leave_one_out_split  # noqa: E402
 from repro.models import SASRec  # noqa: E402
 from repro.registry import model_spec  # noqa: E402
 from repro.resilience import (Fault, FaultPlan,  # noqa: E402

@@ -570,9 +570,9 @@ def data_worker(profile: str, root: Path) -> int:
     peak RSS) as the last stdout line."""
     import resource
 
-    from repro.data import (generate_to_store, stream_k_core_filter,
-                            streaming_leave_one_out)
-    from repro.eval import StreamingEvaluator
+    from repro.data import (generate_to_store, leave_one_out_split,
+                            stream_k_core_filter)
+    from repro.eval import Evaluator
     from repro.models import GRU4Rec
     from repro.train import TrainConfig, Trainer
 
@@ -587,13 +587,12 @@ def data_worker(profile: str, root: Path) -> int:
                                 min_item_freq=DATA_K_CORE)
     timings["k_core_seconds"] = round(time.perf_counter() - start, 2)
 
-    split = streaming_leave_one_out(core, max_len=DATA_MAX_LEN)
+    split = leave_one_out_split(core, max_len=DATA_MAX_LEN)
     model = GRU4Rec(split.num_items, dim=DATA_DIM, max_len=DATA_MAX_LEN,
                     rng=np.random.default_rng(0))
-    evaluator = StreamingEvaluator(split.valid.take(DATA_EVAL_CAP),
-                                   batch_size=DATA_BATCH,
-                                   max_len=DATA_MAX_LEN,
-                                   score_chunk=DATA_SCORE_CHUNK)
+    evaluator = Evaluator(split.valid.take(DATA_EVAL_CAP),
+                          batch_size=DATA_BATCH, max_len=DATA_MAX_LEN,
+                          score_chunk=DATA_SCORE_CHUNK)
     config = TrainConfig(epochs=1, batch_size=DATA_BATCH, seed=0,
                          patience=1)
     trainer = Trainer(

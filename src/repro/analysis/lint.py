@@ -85,11 +85,11 @@ rules:
     result).
 
 ``bounded-memory``
-    The out-of-core streaming modules (``data/store.py``,
-    ``data/stream.py``) must keep every pass windowed: no ``.tolist()``
-    anywhere, no ``list(...)`` over a store column, and no whole-column
-    ``np.asarray``/``np.array``/``copy`` of a bare column attribute
-    (``indptr``/``items``/``timestamps``/``noise_flags``).  Any of
+    The out-of-core modules (``data/store.py``, and ``data/stream.py``
+    with the one split and loader) must keep every pass windowed: no
+    ``.tolist()`` anywhere, no ``list(...)`` over a store column, and no
+    whole-column ``np.asarray``/``np.array``/``copy`` of a bare column
+    attribute (``indptr``/``items``/``timestamps``/``noise_flags``).  Any of
     these silently materializes O(events) memory and defeats the mmap
     substrate; windowed slices (``store.items[lo:hi]``) stay allowed.
 
@@ -195,8 +195,9 @@ _DTYPE_ALLOCATORS = {"zeros": 2, "ones": 2, "empty": 2, "full": 3}
 #: Matmul-family ufuncs that read every input while writing ``out=``.
 _MATMUL_FAMILY = {"matmul", "dot", "tensordot", "einsum"}
 
-#: Out-of-core streaming modules: every pass must stay windowed, so
-#: whole-column materialisation patterns are banned outright.
+#: Out-of-core modules — the store, and the one split and loader every
+#: backend runs through: every pass must stay windowed, so whole-column
+#: materialisation patterns are banned outright.
 STREAMING_MODULES = ("data/store.py", "data/stream.py")
 
 #: Store column attributes whose bare (unsliced) materialisation would

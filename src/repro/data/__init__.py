@@ -2,15 +2,12 @@
 
 Two interchangeable backends satisfy the :class:`SequenceView` protocol:
 the in-memory :class:`InteractionDataset` and the memory-mapped
-:class:`InteractionStore` (:mod:`repro.data.store`), with the streaming
-pipeline (:mod:`repro.data.stream`) mirroring k-core filtering,
-leave-one-out splitting, and batch loading in bounded memory.
+:class:`InteractionStore` (:mod:`repro.data.store`).  One leave-one-out
+split and one loader (:mod:`repro.data.stream`) serve both.
 """
 
-from .batching import (Batch, BucketedDataLoader, DataLoader,
-                       NegativeSampler, pad_sequences)
-from .dataset import (PAD_ID, InteractionDataset, SequenceExample,
-                      SequenceSplit, SequenceView, leave_one_out_split)
+from .batching import Batch, NegativeSampler, pad_sequences
+from .dataset import PAD_ID, InteractionDataset, SequenceExample, SequenceView
 from .eventlog import (EventLog, EventLogIntegrityError, open_event_log,
                        replay_to_store)
 from .io import load_dataset, save_dataset
@@ -21,8 +18,8 @@ from .noise import NoisyDataset, OUPResult, inject_noise, score_denoising
 from .preprocessing import k_core_filter, popularity_split, remap_ids
 from .store import (InteractionStore, StoreIntegrityError, StoreWriter,
                     open_store, write_store_from_dataset)
-from .stream import (ExampleStream, StreamSplit, StreamingDataLoader,
-                     build_loader, stream_k_core_filter,
+from .stream import (DataLoader, ExampleStream, SequenceSplit,
+                     leave_one_out_split, stream_k_core_filter,
                      streaming_leave_one_out)
 from .synthetic import (FULL_PROFILES, PROFILES, SyntheticProfile,
                         all_datasets, generate, generate_to_store,
@@ -31,7 +28,7 @@ from .synthetic import (FULL_PROFILES, PROFILES, SyntheticProfile,
 __all__ = [
     "PAD_ID", "InteractionDataset", "SequenceExample", "SequenceSplit",
     "SequenceView", "leave_one_out_split",
-    "Batch", "DataLoader", "BucketedDataLoader", "NegativeSampler",
+    "Batch", "DataLoader", "NegativeSampler",
     "pad_sequences",
     "k_core_filter", "popularity_split", "remap_ids",
     "PROFILES", "FULL_PROFILES", "SyntheticProfile", "generate",
@@ -45,6 +42,5 @@ __all__ = [
     "save_dataset", "load_dataset",
     "InteractionStore", "StoreIntegrityError", "StoreWriter", "open_store",
     "write_store_from_dataset",
-    "ExampleStream", "StreamSplit", "StreamingDataLoader", "build_loader",
-    "stream_k_core_filter", "streaming_leave_one_out",
+    "ExampleStream", "stream_k_core_filter", "streaming_leave_one_out",
 ]

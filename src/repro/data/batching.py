@@ -1,4 +1,4 @@
-"""Batching: padding, data loading, negative sampling.
+"""Batching: the padded batch type, padding, negative sampling.
 
 Sequences are left-padded with ``PAD_ID`` (0) so the most recent item is
 always at the last position, matching the convention of SASRec-style
@@ -8,11 +8,11 @@ models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import PAD_ID, SequenceExample
+from .dataset import PAD_ID
 
 
 @dataclass
@@ -57,126 +57,16 @@ def pad_sequences(sequences: Sequence[Sequence[int]],
     """
     if not sequences:
         raise ValueError("cannot pad an empty list of sequences")
-    lengths = np.array([min(len(s), max_len) if max_len else len(s)
-                        for s in sequences], dtype=np.int64)
+    counts = [min(len(s), max_len) if max_len else len(s)
+              for s in sequences]
+    lengths = np.array(counts, dtype=np.int64)
     width = max_len or int(lengths.max())
     items = np.full((len(sequences), width), PAD_ID, dtype=np.int64)
-    for row, seq in enumerate(sequences):
-        tail = list(seq)[-width:]
-        if tail:
-            items[row, width - len(tail):] = tail
+    for row, (seq, count) in enumerate(zip(sequences, counts)):
+        if count:
+            items[row, width - count:] = seq[-count:]
     mask = items != PAD_ID
     return items, mask, lengths
-
-
-class DataLoader:
-    """Iterate over :class:`SequenceExample` lists in shuffled mini-batches.
-
-    Deterministic loaders (``shuffle=False`` — validation and test splits)
-    produce identical batches every epoch, so their padded ``items``/
-    ``mask`` arrays are built once on the first pass and cached; early
-    stopping evaluates every epoch, making re-padding the same arrays a
-    measurable waste.  Consumers must treat batch arrays as read-only
-    (every in-repo model does).  Pass ``cache=False`` to opt out.
-    """
-
-    def __init__(self, examples: List[SequenceExample], batch_size: int = 256,
-                 max_len: Optional[int] = None, shuffle: bool = True,
-                 seed: int = 0, drop_last: bool = False,
-                 cache: Optional[bool] = None):
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        self.examples = list(examples)
-        self.batch_size = batch_size
-        self.max_len = max_len
-        self.shuffle = shuffle
-        self.drop_last = drop_last
-        self._rng = np.random.default_rng(seed)
-        self.cache = (not shuffle) if cache is None else cache
-        self._cached_batches: Optional[List[Batch]] = None
-
-    def __len__(self) -> int:
-        n = len(self.examples)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
-
-    def rng_state(self) -> dict:
-        """Snapshot the shuffle generator (for crash-resumed training)."""
-        return self._rng.bit_generator.state
-
-    def set_rng_state(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`rng_state`, so the next
-        epoch's shuffle order matches the run that saved it."""
-        self._rng.bit_generator.state = state
-
-    def __iter__(self) -> Iterator[Batch]:
-        if self._cached_batches is not None:
-            yield from self._cached_batches
-            return
-        collect = self.cache and not self.shuffle
-        collected: List[Batch] = []
-        order = np.arange(len(self.examples))
-        if self.shuffle:
-            self._rng.shuffle(order)
-        for start in range(0, len(order), self.batch_size):
-            idx = order[start:start + self.batch_size]
-            if self.drop_last and len(idx) < self.batch_size:
-                break
-            chunk = [self.examples[i] for i in idx]
-            items, mask, lengths = pad_sequences(
-                [ex.sequence for ex in chunk], self.max_len)
-            batch = Batch(
-                users=np.array([ex.user for ex in chunk], dtype=np.int64),
-                items=items,
-                mask=mask,
-                lengths=lengths,
-                targets=np.array([ex.target for ex in chunk], dtype=np.int64),
-            )
-            if collect:
-                collected.append(batch)
-            yield batch
-        if collect:
-            self._cached_batches = collected
-
-
-class BucketedDataLoader(DataLoader):
-    """DataLoader that groups examples of similar length into batches.
-
-    Left padding wastes computation when short and long sequences share a
-    batch (every model step runs over the padded width).  Bucketing sorts
-    examples by length, slices batches from the sorted order, and shuffles
-    only the batch order — cutting padded positions substantially on
-    datasets with skewed length distributions, at the cost of slightly
-    less randomness within batches.
-
-    Batches are padded to their own longest sequence (``max_len`` still
-    caps the width).
-    """
-
-    def __iter__(self) -> Iterator[Batch]:
-        order = np.argsort([len(ex.sequence) for ex in self.examples],
-                           kind="stable")
-        starts = list(range(0, len(order), self.batch_size))
-        if self.shuffle:
-            self._rng.shuffle(starts)
-        for start in starts:
-            idx = order[start:start + self.batch_size]
-            if self.drop_last and len(idx) < self.batch_size:
-                continue
-            chunk = [self.examples[i] for i in idx]
-            longest = max(len(ex.sequence) for ex in chunk)
-            width = min(longest, self.max_len) if self.max_len else longest
-            items, mask, lengths = pad_sequences(
-                [ex.sequence for ex in chunk], max_len=width)
-            yield Batch(
-                users=np.array([ex.user for ex in chunk], dtype=np.int64),
-                items=items,
-                mask=mask,
-                lengths=lengths,
-                targets=np.array([ex.target for ex in chunk],
-                                 dtype=np.int64),
-            )
 
 
 class NegativeSampler:

@@ -1,16 +1,14 @@
 """Dataset containers for user-item interaction data.
 
-Two central classes:
-
 * :class:`InteractionDataset` — raw (user, item, timestamp) interactions
   with derived per-user temporal sequences and the interaction matrix ``A``
   (Sec. II, "User-Item Interaction Data").
-* :class:`SequenceSplit` — the leave-one-out train/valid/test view used by
-  every experiment (Sec. IV-A1).
+* :class:`SequenceExample` — one (history, next item) example of the
+  leave-one-out split (:func:`repro.data.stream.leave_one_out_split`).
 
 :class:`SequenceView` is the structural protocol both this in-memory
 container and the memory-mapped :class:`repro.data.store.InteractionStore`
-satisfy, so the streaming pipeline (:mod:`repro.data.stream`), the model
+satisfy, so the split and loader (:mod:`repro.data.stream`), the model
 registry, and the experiment runners can treat them interchangeably.
 
 Item and user ids are contiguous integers starting at 1; id 0 is reserved
@@ -38,8 +36,11 @@ class SequenceView(Protocol):
     0, the padding user, is always 0).  Everything downstream of the
     data plane — splitting, loading, model construction — should only
     assume this surface, never ``sequences`` the Python list.
+    ``resident`` says whether every sequence is already in RAM; the
+    loader shuffles resident data as one window.
     """
 
+    resident: bool
     name: str
     num_users: int
     num_items: int
@@ -76,6 +77,9 @@ class InteractionDataset:
     num_items: int
     sequences: List[List[int]]
     metadata: Dict[str, object] = field(default_factory=dict)
+
+    #: Every sequence is in RAM, so the loader shuffles all examples at once.
+    resident = True
 
     def __post_init__(self):
         if len(self.sequences) != self.num_users + 1:
@@ -169,75 +173,5 @@ class SequenceExample:
     """One training/evaluation example: predict ``target`` from ``sequence``."""
 
     user: int
-    sequence: List[int]
+    sequence: Sequence[int]
     target: int
-
-
-@dataclass
-class SequenceSplit:
-    """Leave-one-out split of an :class:`InteractionDataset`.
-
-    For each user with a sequence of length n (n >= 3):
-
-    * test: predict item n from items 1..n-1
-    * valid: predict item n-1 from items 1..n-2
-    * train: predict item n-2 from items 1..n-3 (plus optional intermediate
-      prefixes when ``augment_prefixes`` was requested at build time)
-    """
-
-    dataset: InteractionDataset
-    train: List[SequenceExample]
-    valid: List[SequenceExample]
-    test: List[SequenceExample]
-    max_len: int
-
-    @property
-    def num_items(self) -> int:
-        return self.dataset.num_items
-
-    @property
-    def num_users(self) -> int:
-        return self.dataset.num_users
-
-
-def leave_one_out_split(dataset: InteractionDataset, max_len: int = 50,
-                        augment_prefixes: bool = False,
-                        min_length: int = 3) -> SequenceSplit:
-    """Build the leave-one-out split used throughout the paper.
-
-    Parameters
-    ----------
-    max_len:
-        Sequences are truncated to their most recent ``max_len`` items
-        (the paper uses 200 for ML-1M and 50 elsewhere).
-    augment_prefixes:
-        If True, every prefix of the training portion becomes an additional
-        training example (standard RecBole-style augmentation).
-    min_length:
-        Users with fewer interactions are skipped entirely.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    train: List[SequenceExample] = []
-    valid: List[SequenceExample] = []
-    test: List[SequenceExample] = []
-    for user in range(1, dataset.num_users + 1):
-        seq = dataset.sequences[user]
-        if len(seq) < min_length:
-            continue
-        test.append(SequenceExample(user, _truncate(seq[:-1], max_len), seq[-1]))
-        valid.append(SequenceExample(user, _truncate(seq[:-2], max_len), seq[-2]))
-        train_hist = seq[:-2]
-        if len(train_hist) >= 2:
-            train.append(SequenceExample(
-                user, _truncate(train_hist[:-1], max_len), train_hist[-1]))
-            if augment_prefixes:
-                for cut in range(1, len(train_hist) - 1):
-                    train.append(SequenceExample(
-                        user, _truncate(train_hist[:cut], max_len),
-                        train_hist[cut]))
-    return SequenceSplit(dataset, train, valid, test, max_len)
-
-
-def _truncate(seq: Sequence[int], max_len: int) -> List[int]:
-    return list(seq[-max_len:])

@@ -269,6 +269,9 @@ class InteractionStore:
     streaming-path modules).
     """
 
+    #: Events stay on disk, so the loader shuffles in bounded windows.
+    resident = False
+
     def __init__(self, path: Path, manifest: Dict[str, object],
                  columns: Dict[str, np.ndarray]):
         self.path = Path(path)

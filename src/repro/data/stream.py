@@ -1,35 +1,32 @@
-"""Out-of-core streaming pipeline over :class:`InteractionStore`.
+"""The data path over any :class:`SequenceView`: split, loader, k-core.
 
-Mirrors the in-memory data plane stage-for-stage, with every pass
-bounded by a window size instead of the dataset size:
+One implementation serves the in-memory :class:`InteractionDataset` and
+the mmap :class:`InteractionStore` alike:
 
+* :func:`leave_one_out_split` — the paper's leave-one-out protocol
+  (Sec. IV-A1) as re-iterable :class:`ExampleStream` views; each user's
+  events are sliced from the view on demand, so no example list is
+  built.
+* :class:`DataLoader` — seeded mini-batches from a chunked shuffle
+  window.  The window is the only thing the backends differ on, and it
+  is decided from the data (:meth:`DataLoader.window`): the whole input
+  for resident data, ``DEFAULT_BUFFER_SIZE`` examples over an mmap
+  store.  ``rng_state()``/``set_rng_state()`` expose the shuffle stream,
+  so ``train.checkpoint`` resume replays it exactly.
 * :func:`stream_k_core_filter` — the iterative 5-core fixed point of
-  :func:`repro.data.preprocessing.k_core_filter`, computed from windowed
-  ``bincount`` passes over the event columns.  Working memory is
-  O(num_users + num_items + window), never O(events); the surviving
-  users/items are densely remapped exactly like ``remap_ids`` (users in
-  original-id order, items ascending) and written to a fresh store.
-* :func:`streaming_leave_one_out` — the leave-one-out split of
-  :func:`repro.data.dataset.leave_one_out_split` as re-iterable
-  :class:`ExampleStream` views (no example lists are materialized).
-* :class:`StreamingDataLoader` — mini-batches from a seeded chunked
-  shuffle buffer.  Randomness comes from the same generator family as
-  the in-memory ``DataLoader`` and is exposed through the identical
-  ``rng_state()``/``set_rng_state()`` surface, so ``train.checkpoint``
-  resume works unchanged.  When ``buffer_size >= len(stream)`` the
-  emitted batches are **bitwise identical** to ``DataLoader`` under the
-  same seed (pinned by hypothesis tests); smaller buffers stay seeded
-  and deterministic while holding only ``buffer_size`` examples.
-
-Everything here operates on ``SequenceView`` objects, so the small
-in-memory datasets flow through the same code paths in tests.
+  :func:`repro.data.preprocessing.k_core_filter` over a store, computed
+  from windowed ``bincount`` passes over the event columns.  Working
+  memory is O(num_users + num_items + window), never O(events); the
+  surviving users/items are densely remapped exactly like ``remap_ids``
+  (users in original-id order, items ascending) and written to a fresh
+  store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -38,8 +35,8 @@ from .batching import Batch, pad_sequences
 from .dataset import SequenceExample, SequenceView
 from .store import DEFAULT_CHUNK_EVENTS, InteractionStore, StoreWriter
 
-#: Default shuffle-buffer size in examples (~buffer_size * avg_len * 8 B
-#: resident).
+#: Shuffle window in examples over a non-resident view (~window *
+#: avg_len * 8 B held).
 DEFAULT_BUFFER_SIZE = 8192
 
 #: Safety valve for the k-core fixed point; the loop always terminates
@@ -126,16 +123,14 @@ def stream_k_core_filter(store: InteractionStore, out_path: Path,
 
 
 # ----------------------------------------------------------------------
-# streaming leave-one-out split
+# leave-one-out split
 class ExampleStream:
     """Re-iterable, bounded-memory stream of :class:`SequenceExample`.
 
-    Yields exactly the examples — same users, same order, same
-    truncation — that ``leave_one_out_split`` would put in the
-    corresponding list, but each user's events are sliced from the
-    backing view on demand.  ``take(n)`` returns a capped copy (used to
-    bound evaluation cost at full scale, with the cap recorded by the
-    caller).
+    Each user's events are sliced from the backing view on demand, so no
+    example list is ever materialized.  ``take(n)`` returns a capped copy
+    (used to bound evaluation cost at full scale, with the cap recorded
+    by the caller).
     """
 
     def __init__(self, view: SequenceView, role: str, max_len: int,
@@ -143,6 +138,10 @@ class ExampleStream:
                  limit: Optional[int] = None):
         if role not in ("train", "valid", "test"):
             raise ValueError(f"unknown stream role {role!r}")
+        if min_length < 2:
+            raise ValueError(
+                f"min_length must be >= 2 (valid and test each hold out "
+                f"one item), got {min_length}")
         self.view = view
         self.role = role
         self.max_len = max_len
@@ -150,7 +149,7 @@ class ExampleStream:
         self.augment_prefixes = augment_prefixes
         self.limit = limit
         lengths = view.seq_lengths()
-        eligible = lengths >= max(min_length, 1)
+        eligible = lengths >= min_length
         eligible[0] = False
         self._users = np.flatnonzero(eligible)
         if role == "train":
@@ -204,12 +203,15 @@ class ExampleStream:
 
 
 @dataclass
-class StreamSplit:
-    """Leave-one-out split over a :class:`SequenceView`, as streams.
+class SequenceSplit:
+    """Leave-one-out split of a :class:`SequenceView`.
 
-    Mirrors :class:`repro.data.dataset.SequenceSplit` — same attribute
-    names, so trainers and experiment runners dispatch on the subset
-    type (list vs stream) only.
+    For each user with a sequence of length n (n >= ``min_length``):
+
+    * test: predict item n from items 1..n-1
+    * valid: predict item n-1 from items 1..n-2
+    * train: predict item n-2 from items 1..n-3 (plus optional intermediate
+      prefixes when ``augment_prefixes`` was requested at build time)
     """
 
     dataset: SequenceView
@@ -227,17 +229,25 @@ class StreamSplit:
         return self.dataset.num_users
 
 
-def streaming_leave_one_out(view: SequenceView, max_len: int = 50,
-                            augment_prefixes: bool = False,
-                            min_length: int = 3) -> StreamSplit:
-    """Leave-one-out split as bounded-memory streams.
+def leave_one_out_split(view: SequenceView, max_len: int = 50,
+                        augment_prefixes: bool = False,
+                        min_length: int = 3) -> SequenceSplit:
+    """Build the leave-one-out split used throughout the paper.
 
-    Split membership, example order, and truncation match
-    ``leave_one_out_split`` exactly (pinned by hypothesis tests).
+    Parameters
+    ----------
+    max_len:
+        Sequences are truncated to their most recent ``max_len`` items
+        (the paper uses 200 for ML-1M and 50 elsewhere).
+    augment_prefixes:
+        If True, every prefix of the training portion becomes an additional
+        training example (standard RecBole-style augmentation).
+    min_length:
+        Users with fewer interactions are skipped entirely; must be >= 2.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    return StreamSplit(
+    return SequenceSplit(
         dataset=view,
         train=ExampleStream(view, "train", max_len, min_length,
                             augment_prefixes),
@@ -247,37 +257,37 @@ def streaming_leave_one_out(view: SequenceView, max_len: int = 50,
     )
 
 
-# ----------------------------------------------------------------------
-# streaming loader
-class StreamingDataLoader:
-    """Mini-batches from a chunked shuffle buffer over an example stream.
+#: Name the benchmark (``bench/workloads.py``) imports.
+streaming_leave_one_out = leave_one_out_split
 
-    At most ``buffer_size`` examples are resident.  Each filled window
-    is shuffled by index (one ``rng.shuffle`` over ``len(window)``
-    positions — the same consumption pattern as ``DataLoader``) and
-    emitted as full batches; the sub-batch remainder is carried into
-    the next window so mid-epoch batches are always full.  With
-    ``buffer_size >= len(stream)`` there is a single window and the
-    batch stream is bitwise identical to ``DataLoader`` under the same
-    seed.
+
+# ----------------------------------------------------------------------
+# loader
+class DataLoader:
+    """Seeded mini-batches over examples, through a chunked shuffle window.
+
+    Each filled window is shuffled by index (one ``rng.shuffle`` over
+    ``len(window)`` positions) and emitted as full batches; the sub-batch
+    remainder is carried into the next window so mid-epoch batches are
+    always full.  :meth:`window` decides the window size from the data;
+    resident data is shuffled as one window, so its batches are one
+    ``rng.shuffle(np.arange(n))`` permutation cut into batches.
+
+    ``examples`` is an :class:`ExampleStream` or any sized re-iterable
+    of :class:`SequenceExample`.
     """
 
-    def __init__(self, examples: ExampleStream, batch_size: int = 256,
-                 max_len: Optional[int] = None, shuffle: bool = True,
-                 seed: int = 0, drop_last: bool = False,
-                 buffer_size: int = DEFAULT_BUFFER_SIZE):
+    def __init__(self, examples: Iterable[SequenceExample],
+                 batch_size: int = 256, max_len: Optional[int] = None,
+                 shuffle: bool = True, seed: int = 0,
+                 drop_last: bool = False):
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if buffer_size < batch_size:
-            raise ValueError(
-                f"buffer_size ({buffer_size}) must be >= batch_size "
-                f"({batch_size})")
         self.examples = examples
         self.batch_size = batch_size
         self.max_len = max_len
         self.shuffle = shuffle
         self.drop_last = drop_last
-        self.buffer_size = buffer_size
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
@@ -285,6 +295,20 @@ class StreamingDataLoader:
         if self.drop_last:
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
+
+    def window(self) -> int:
+        """Examples held and shuffled together.
+
+        One batch when not shuffling; the whole input for resident data
+        (a list, or a stream over a view with ``resident`` set); else
+        ``DEFAULT_BUFFER_SIZE`` (at least one batch).
+        """
+        if not self.shuffle:
+            return self.batch_size
+        view = getattr(self.examples, "view", None)
+        if view is None or view.resident:
+            return max(len(self.examples), 1)
+        return max(DEFAULT_BUFFER_SIZE, self.batch_size)
 
     def rng_state(self) -> dict:
         """Snapshot the shuffle generator (for crash-resumed training)."""
@@ -323,37 +347,19 @@ class StreamingDataLoader:
         return remainder
 
     def __iter__(self) -> Iterator[Batch]:
+        size = self.window()
         window: List[SequenceExample] = []
         for example in self.examples:
-            # Emit lazily — only once the next example proves the stream
+            # Emit lazily — only once the next example proves the input
             # has not ended.  A window that fills on the *last* example
             # must take the final path below, or the carried remainder
-            # would be re-shuffled (an extra RNG draw), breaking bitwise
-            # parity with DataLoader at buffer_size == len(stream).
-            if len(window) >= self.buffer_size:
+            # would be re-shuffled (an extra RNG draw).
+            if len(window) >= size:
                 window = yield from self._emit(window, final=False)
             window.append(example)
         yield from self._emit(window, final=True)
 
 
-def build_loader(examples, batch_size: int = 256,
-                 max_len: Optional[int] = None, shuffle: bool = True,
-                 seed: int = 0, drop_last: bool = False,
-                 buffer_size: int = DEFAULT_BUFFER_SIZE):
-    """Loader for either an example list or an :class:`ExampleStream`.
-
-    The single dispatch point the trainer and evaluators use, so the
-    in-memory and streaming paths share every call site.
-    """
-    if isinstance(examples, list):
-        from .batching import DataLoader
-        return DataLoader(examples, batch_size=batch_size, max_len=max_len,
-                          shuffle=shuffle, seed=seed, drop_last=drop_last)
-    return StreamingDataLoader(examples, batch_size=batch_size,
-                               max_len=max_len, shuffle=shuffle, seed=seed,
-                               drop_last=drop_last, buffer_size=buffer_size)
-
-
 __all__ = ["DEFAULT_BUFFER_SIZE", "stream_k_core_filter", "ExampleStream",
-           "StreamSplit", "streaming_leave_one_out", "StreamingDataLoader",
-           "build_loader"]
+           "SequenceSplit", "leave_one_out_split", "streaming_leave_one_out",
+           "DataLoader"]

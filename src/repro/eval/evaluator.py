@@ -1,4 +1,4 @@
-"""Full-ranking evaluation over a :class:`~repro.data.dataset.SequenceSplit`."""
+"""Full-ranking evaluation over a :class:`~repro.data.stream.SequenceSplit`."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..data.batching import DataLoader
-from ..data.dataset import SequenceExample
+from ..data.stream import DataLoader
 from ..nn import Tensor, no_grad
 from .metrics import metric_report, ranks_from_scores
 
@@ -21,16 +20,19 @@ class Evaluator:
     """Evaluate any model exposing ``forward(items, mask) -> logits``.
 
     Models are put in eval mode, run without gradient tracking, and scored
-    by full ranking against the entire item universe.
+    by full ranking against the entire item universe.  ``examples`` is an
+    :class:`~repro.data.stream.ExampleStream` or any sized re-iterable of
+    examples; batches are its consecutive ``batch_size`` slices.
 
     Candidate scoring is vectorized: models exposing the
     ``encode``/``score`` API (every :class:`SequentialRecommender`) have
-    their per-batch sequence representations gathered first, then scored
-    against the item table in bounded chunks (``score_chunk`` rows per
-    matmul) — at small model dimensions the per-batch scoring matmuls
-    dominate eval cost.  Models with a custom ``forward_batch`` (e.g.
-    SSDRec, which needs user ids) or without the encode/score split fall
-    back to per-batch scoring.
+    their per-batch sequence representations gathered until
+    ``score_chunk`` rows are buffered, then scored against the item table
+    in exact ``score_chunk``-row blocks — at small model dimensions the
+    scoring matmuls dominate eval cost, and peak memory stays at one
+    block, O(score_chunk * vocab).  Models with a custom
+    ``forward_batch`` (e.g. SSDRec, which needs user ids) or without the
+    encode/score split fall back to per-batch scoring.
 
     ``fast=True`` routes ranking through a frozen forward plan
     (:func:`repro.serve.freeze`): a pure-NumPy executor that skips
@@ -41,139 +43,6 @@ class Evaluator:
     always safe to toggle mid-training.
     """
 
-    def __init__(self, examples: List[SequenceExample], batch_size: int = 256,
-                 max_len: Optional[int] = None,
-                 ks: Sequence[int] = (5, 10, 20), fast: bool = False,
-                 score_chunk: Optional[int] = DEFAULT_SCORE_CHUNK):
-        if not examples:
-            raise ValueError("evaluator needs at least one example")
-        if score_chunk is not None and score_chunk < 1:
-            raise ValueError("score_chunk must be >= 1 or None")
-        self.loader = DataLoader(examples, batch_size=batch_size,
-                                 max_len=max_len, shuffle=False)
-        self.ks = tuple(ks)
-        self.fast = fast
-        self.score_chunk = score_chunk
-
-    def ranks(self, model, fast: Optional[bool] = None) -> np.ndarray:
-        """Target ranks for every example (order matches the example list).
-
-        ``fast`` overrides the instance default for this call only, so
-        callers sharing a cached evaluator can pick the frozen-plan path
-        without mutating state other callers observe.
-        """
-        was_training = getattr(model, "training", False)
-        model.eval()
-        try:
-            if self.fast if fast is None else fast:
-                from ..serve import freeze  # lazy: avoids an import cycle
-                all_ranks = self._ranks_plan(freeze(model))
-            else:
-                with no_grad():
-                    batch_forward = getattr(model, "forward_batch", None)
-                    encode = getattr(model, "encode", None)
-                    score = getattr(model, "score", None)
-                    if (batch_forward is None and encode is not None
-                            and score is not None):
-                        all_ranks = self._ranks_vectorized(model, encode,
-                                                           score)
-                    else:
-                        all_ranks = self._ranks_per_batch(model,
-                                                          batch_forward)
-        finally:
-            if was_training:
-                model.train()
-        return all_ranks
-
-    def ranks_frozen(self, plan) -> np.ndarray:
-        """Rank through a pre-compiled frozen plan (no model, no re-freeze).
-
-        Unlike ``fast=True`` — which recompiles the plan from the model's
-        current weights on every call — this trusts the caller's plan.
-        Use it when weights are fixed (serving, benchmarks) to amortize
-        compilation across calls.
-        """
-        return self._ranks_plan(plan)
-
-    def _chunks(self, total: int):
-        step = self.score_chunk or total
-        for start in range(0, total, step):
-            yield start, min(start + step, total)
-
-    def _ranks_vectorized(self, model, encode, score) -> np.ndarray:
-        """Encode per batch, then score users in bounded matmul chunks."""
-        reprs: List[np.ndarray] = []
-        targets: List[np.ndarray] = []
-        for batch in self.loader:
-            reprs.append(encode(batch.items, batch.mask).data)
-            targets.append(batch.targets)
-        all_reprs = np.concatenate(reprs, axis=0)
-        all_targets = np.concatenate(targets)
-        ranks = np.empty(len(all_targets), dtype=np.int64)
-        for start, stop in self._chunks(len(all_targets)):
-            scores = score(Tensor(all_reprs[start:stop])).data
-            ranks[start:stop] = ranks_from_scores(scores,
-                                                  all_targets[start:stop])
-        return ranks
-
-    def _ranks_plan(self, plan) -> np.ndarray:
-        """Graph-free ranking through a frozen forward plan."""
-        if not plan.supports_encode:
-            all_ranks: List[np.ndarray] = []
-            for batch in self.loader:
-                all_ranks.append(ranks_from_scores(plan.forward_batch(batch),
-                                                   batch.targets))
-            return np.concatenate(all_ranks)
-        reprs: List[np.ndarray] = []
-        targets: List[np.ndarray] = []
-        for batch in self.loader:
-            reprs.append(plan.encode_batch(batch))
-            targets.append(batch.targets)
-        all_reprs = np.concatenate(reprs, axis=0)
-        all_targets = np.concatenate(targets)
-        ranks = np.empty(len(all_targets), dtype=np.int64)
-        buf: Optional[np.ndarray] = None
-        for start, stop in self._chunks(len(all_targets)):
-            block = all_reprs[start:stop]
-            if buf is None or buf.shape[0] != block.shape[0]:
-                buf = np.empty((block.shape[0], plan.vocab_size))
-            scores = plan.score(block, out=buf)
-            ranks[start:stop] = ranks_from_scores(scores,
-                                                  all_targets[start:stop])
-        return ranks
-
-    def _ranks_per_batch(self, model, batch_forward) -> np.ndarray:
-        all_ranks: List[np.ndarray] = []
-        for batch in self.loader:
-            if batch_forward is not None:
-                logits = batch_forward(batch)
-            else:
-                logits = model.forward(batch.items, batch.mask)
-            scores = logits.data[:, :]
-            all_ranks.append(ranks_from_scores(scores, batch.targets))
-        return np.concatenate(all_ranks)
-
-    def evaluate(self, model, fast: Optional[bool] = None) -> Dict[str, float]:
-        """Full metric block (HR/N@K + MRR) on the held-out examples."""
-        return metric_report(self.ranks(model, fast=fast), self.ks)
-
-
-class StreamingEvaluator:
-    """Bounded-memory twin of :class:`Evaluator` for example streams.
-
-    Consumes any re-iterable sized example source (an
-    :class:`~repro.data.stream.ExampleStream`) through a ``shuffle=False``
-    :class:`~repro.data.stream.StreamingDataLoader`; batches are the same
-    consecutive slices the in-memory ``DataLoader`` would produce.  On
-    the vectorized path, sequence representations accumulate only until
-    ``score_chunk`` rows are buffered, and blocks are cut at the same
-    absolute offsets as :meth:`Evaluator._chunks` over the concatenated
-    matrix — metrics are **bitwise identical** to an in-memory
-    ``Evaluator`` over ``list(examples)`` (pinned by parity tests).
-    Peak memory is one scoring block, O(score_chunk * vocab), instead of
-    all representations at once.
-    """
-
     def __init__(self, examples, batch_size: int = 256,
                  max_len: Optional[int] = None,
                  ks: Sequence[int] = (5, 10, 20), fast: bool = False,
@@ -182,17 +51,20 @@ class StreamingEvaluator:
             raise ValueError("evaluator needs at least one example")
         if score_chunk is not None and score_chunk < 1:
             raise ValueError("score_chunk must be >= 1 or None")
-        from ..data.stream import StreamingDataLoader
-        self.loader = StreamingDataLoader(
-            examples, batch_size=batch_size, max_len=max_len,
-            shuffle=False, buffer_size=max(batch_size, 1))
+        self.loader = DataLoader(examples, batch_size=batch_size,
+                                 max_len=max_len, shuffle=False)
         self.num_examples = len(examples)
         self.ks = tuple(ks)
         self.fast = fast
         self.score_chunk = score_chunk
 
     def ranks(self, model, fast: Optional[bool] = None) -> np.ndarray:
-        """Target ranks for every example, in stream order."""
+        """Target ranks for every example, in example order.
+
+        ``fast`` overrides the instance default for this call only, so
+        callers sharing a cached evaluator can pick the frozen-plan path
+        without mutating state other callers observe.
+        """
         was_training = getattr(model, "training", False)
         model.eval()
         try:
@@ -216,15 +88,21 @@ class StreamingEvaluator:
         return all_ranks
 
     def ranks_frozen(self, plan) -> np.ndarray:
-        """Rank through a pre-compiled frozen plan (no model, no re-freeze)."""
+        """Rank through a pre-compiled frozen plan (no model, no re-freeze).
+
+        Unlike ``fast=True`` — which recompiles the plan from the model's
+        current weights on every call — this trusts the caller's plan.
+        Use it when weights are fixed (serving, benchmarks) to amortize
+        compilation across calls.
+        """
         return self._ranks_plan(plan)
 
     def _ranks_blocked(self, pairs, score_block) -> np.ndarray:
         """Drive ``score_block`` over exact ``score_chunk``-row blocks.
 
-        ``pairs`` yields per-batch ``(reprs, targets)``; blocks are
-        assembled so their absolute offsets equal the chunk boundaries
-        ``Evaluator._chunks`` would use over the full concatenation.
+        ``pairs`` yields per-batch ``(reprs, targets)``; block ``i``
+        covers examples ``[i * score_chunk, (i + 1) * score_chunk)``
+        whatever the batch size, so ranks do not depend on it.
         """
         total = self.num_examples
         step = self.score_chunk or total
@@ -263,6 +141,7 @@ class StreamingEvaluator:
                 score(Tensor(reprs)).data, targets))
 
     def _ranks_plan(self, plan) -> np.ndarray:
+        """Graph-free ranking through a frozen forward plan."""
         if not plan.supports_encode:
             return self._ranks_per_batch(None, plan.forward_batch,
                                          plan=True)
@@ -285,7 +164,7 @@ class StreamingEvaluator:
                 logits = batch_forward(batch)
             else:
                 logits = model.forward(batch.items, batch.mask)
-            scores = logits if plan else logits.data[:, :]
+            scores = logits if plan else logits.data
             all_ranks.append(ranks_from_scores(scores, batch.targets))
         return np.concatenate(all_ranks)
 
@@ -294,15 +173,5 @@ class StreamingEvaluator:
         return metric_report(self.ranks(model, fast=fast), self.ks)
 
 
-def make_evaluator(examples, batch_size: int = 256,
-                   max_len: Optional[int] = None,
-                   ks: Sequence[int] = (5, 10, 20), fast: bool = False,
-                   score_chunk: Optional[int] = DEFAULT_SCORE_CHUNK):
-    """Evaluator for either an example list or an example stream.
-
-    The single dispatch point trainers and runners use, mirroring
-    :func:`repro.data.stream.build_loader`.
-    """
-    cls = Evaluator if isinstance(examples, list) else StreamingEvaluator
-    return cls(examples, batch_size=batch_size, max_len=max_len, ks=ks,
-               fast=fast, score_chunk=score_chunk)
+#: Name the benchmark (``bench/workloads.py``) imports.
+StreamingEvaluator = Evaluator

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core import SSDRecConfig
-from ..data import (InteractionDataset, SequenceSplit, SequenceView,
-                    StreamSplit, generate, generate_to_store,
-                    leave_one_out_split, open_store, profile_by_name,
-                    stream_k_core_filter, streaming_leave_one_out)
-from ..eval import Evaluator, make_evaluator
+from ..data import (SequenceSplit, SequenceView, generate,
+                    generate_to_store, leave_one_out_split, open_store,
+                    profile_by_name, stream_k_core_filter)
+from ..eval import Evaluator
 from ..registry import ssdrec_default_config
 from ..train import TrainConfig, Trainer, TrainResult
 from .config import Scale, max_len_for
@@ -22,15 +21,15 @@ class PreparedDataset:
     """A dataset plus its leave-one-out split, ready to train on.
 
     Backend-agnostic: ``dataset`` is any :class:`SequenceView` — the
-    in-memory :class:`InteractionDataset` from :func:`prepare` or the
-    mmap :class:`~repro.data.store.InteractionStore` from
-    :func:`prepare_streaming` — and ``split`` is the matching
-    :class:`SequenceSplit` or :class:`StreamSplit`.
+    in-memory :class:`~repro.data.dataset.InteractionDataset` from
+    :func:`prepare` or the mmap :class:`~repro.data.store.InteractionStore`
+    from :func:`prepare_streaming` — and ``split`` is its
+    :class:`SequenceSplit`.
     """
 
     profile: str
-    dataset: Union[InteractionDataset, SequenceView]
-    split: Union[SequenceSplit, StreamSplit]
+    dataset: SequenceView
+    split: SequenceSplit
     max_len: int
     _evaluators: Dict[Tuple[str, int], object] = field(
         default_factory=dict, repr=False, compare=False)
@@ -39,20 +38,17 @@ class PreparedDataset:
                   batch_size: int = 256):
         """A cached evaluator over one split subset.
 
-        In-memory evaluators cache their padded batches (``DataLoader``
-        with ``shuffle=False``); sharing one instance per ``(subset,
-        batch_size)`` across a run avoids re-padding the same examples
-        for every model trained on this dataset.  Streaming subsets get
-        a :class:`~repro.eval.evaluator.StreamingEvaluator` instead
-        (re-padded per pass, bounded memory).  Callers wanting the
+        One instance per ``(subset, batch_size)`` is shared by every
+        model trained on this dataset.  It pads its batches on each pass
+        and holds at most one scoring block.  Callers wanting the
         frozen-plan path pass ``fast=True`` to ``ranks``/``evaluate``
         per call — the shared instance is never mutated.
         """
         key = (subset, batch_size)
         ev = self._evaluators.get(key)
         if ev is None:
-            ev = make_evaluator(getattr(self.split, subset),
-                                batch_size=batch_size, max_len=self.max_len)
+            ev = Evaluator(getattr(self.split, subset),
+                           batch_size=batch_size, max_len=self.max_len)
             self._evaluators[key] = ev
         return ev
 
@@ -77,7 +73,7 @@ def prepare_streaming(profile: str, scale: Scale, store_root: str | Path,
     Generates the profile chunk-wise straight to an mmap store under
     ``store_root`` (full-scale profiles like ``scale-1m`` never exist in
     RAM), optionally applies the out-of-core ``k_core``-core filter, and
-    splits with :func:`streaming_leave_one_out`.  With ``reuse=True`` an
+    splits with :func:`leave_one_out_split`.  With ``reuse=True`` an
     existing store directory for the same profile/seed/scale is opened
     instead of regenerated — generation is seeded, so contents match.
     """
@@ -100,7 +96,7 @@ def prepare_streaming(profile: str, scale: Scale, store_root: str | Path,
                                          min_item_freq=k_core)
     if max_len is None:
         max_len = max_len_for(profile, scale)
-    split = streaming_leave_one_out(
+    split = leave_one_out_split(
         store, max_len=max_len, augment_prefixes=scale.augment_prefixes)
     return PreparedDataset(profile, store, split, max_len)
 
@@ -119,9 +115,8 @@ def train_and_evaluate(model, prepared: PreparedDataset, scale: Scale,
                        seed: int = 0) -> Tuple[Dict[str, float], TrainResult]:
     """Fit on the train split, early-stop on valid, report test metrics.
 
-    Both evaluators come from the :class:`PreparedDataset` cache, so every
-    model trained on the same prepared dataset reuses the already-padded
-    valid/test batches instead of rebuilding them per call.
+    Both evaluators come from the :class:`PreparedDataset` cache, shared
+    by every model trained on the same prepared dataset.
     """
     config = TrainConfig(epochs=scale.epochs, batch_size=scale.batch_size,
                          patience=scale.patience, seed=seed)

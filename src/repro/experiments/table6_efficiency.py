@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from ..data.batching import DataLoader
+from ..data.stream import DataLoader
 from ..nn import Adam
 from ..registry import model_spec
 from ..runs import RunStore, default_store, run_spec
@@ -50,7 +50,7 @@ def time_inference(model, prepared, scale: Scale,
 
     ``fast=True`` times the frozen-plan (graph-free) path instead of the
     ``no_grad`` Tensor path; the cached evaluator is shared between both
-    (``fast`` is per-call) so the padded test batches are built once.
+    (``fast`` is per-call).
     """
     evaluator = prepared.evaluator("test", scale.batch_size)
     start = time.perf_counter()

@@ -120,7 +120,7 @@ def bench_model(model, prepared, scale: Scale, rounds: int = 3,
     eval_graph_s = _best(lambda: evaluator.ranks(model), rounds)
     eval_frozen_s = _best(lambda: evaluator.ranks_frozen(plan), rounds)
 
-    examples = prepared.split.test
+    examples = list(prepared.split.test)
     reqs = [(ex.user, tuple(ex.sequence))
             for ex in (examples * (requests // len(examples) + 1))[:requests]]
 

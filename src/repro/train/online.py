@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from ..data.dataset import InteractionDataset, leave_one_out_split
+from ..data.dataset import InteractionDataset
+from ..data.stream import leave_one_out_split
 from ..data.eventlog import EventLog
 from ..registry import ModelSpec, build
 from ..resilience.atomic import atomic_write_text, clean_stale_tmp

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..data.dataset import SequenceSplit
+from ..data.stream import SequenceSplit
 from .trainer import TrainConfig, Trainer
 
 

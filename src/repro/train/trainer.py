@@ -33,16 +33,18 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..data.batching import DataLoader
-from ..data.dataset import SequenceSplit
-from ..data.stream import StreamSplit, build_loader
-from ..eval.evaluator import Evaluator, make_evaluator
+from ..data.stream import DataLoader, SequenceSplit
+from ..eval.evaluator import Evaluator
 from ..nn import Adam, clip_grad_norm
 from ..nn.layers import Embedding
 from ..nn.rng import generator_state, restore_generator_state
 from .checkpoint import load_training_state, save_training_state
 
 logger = logging.getLogger("repro.train")
+
+#: ``_fit`` builds its loader through this module global, which the
+#: benchmark (``bench/workloads.py``) replaces to clock training steps.
+build_loader = DataLoader
 
 
 @dataclass
@@ -100,15 +102,14 @@ class TrainResult:
 class Trainer:
     """Fit a model on a :class:`SequenceSplit` with early stopping.
 
-    Also accepts a :class:`~repro.data.stream.StreamSplit`: the train
-    subset then feeds a seeded :class:`StreamingDataLoader` (bounded
-    shuffle buffer) and validation runs through a
-    :class:`~repro.eval.evaluator.StreamingEvaluator`, so training never
-    materializes the example lists.  Crash resume works identically —
-    both loaders expose the same ``rng_state`` surface.
+    The split may sit on any :class:`~repro.data.dataset.SequenceView`:
+    the train subset feeds a seeded :class:`DataLoader` and validation
+    runs through an :class:`Evaluator`, both streaming examples from the
+    view, so training never materializes example lists.  Crash resume
+    restores the loader's shuffle stream (``rng_state``).
     """
 
-    def __init__(self, model, split: SequenceSplit | StreamSplit,
+    def __init__(self, model, split: SequenceSplit,
                  config: Optional[TrainConfig] = None,
                  loss_fn: Optional[Callable] = None,
                  scheduler_factory: Optional[Callable] = None,
@@ -127,8 +128,8 @@ class Trainer:
         self.scheduler = (scheduler_factory(self.optimizer)
                           if scheduler_factory else None)
         # Callers running many models over the same split can pass a
-        # shared validation evaluator to reuse its padded batches.
-        self.evaluator = evaluator or make_evaluator(
+        # shared validation evaluator.
+        self.evaluator = evaluator or Evaluator(
             split.valid, batch_size=self.config.batch_size,
             max_len=split.max_len)
 

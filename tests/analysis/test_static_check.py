@@ -657,6 +657,16 @@ class TestBoundedMemoryRule:
         """})
         assert run_lint(root, rules=["bounded-memory"]) == []
 
+    def test_covers_the_split_and_loader(self):
+        import inspect
+
+        from repro.analysis.lint import STREAMING_MODULES
+        from repro.data import DataLoader, ExampleStream, leave_one_out_split
+        for obj in (leave_one_out_split, ExampleStream, DataLoader):
+            path = Path(inspect.getsourcefile(obj))
+            assert path.relative_to(PACKAGE_ROOT).as_posix() in \
+                STREAMING_MODULES, obj.__name__
+
 
 class TestCliLintSubcommand:
     def _run(self, *extra_args):

@@ -82,7 +82,7 @@ class TestSSDRecWithAlternativeGates:
     @pytest.mark.parametrize("gate", ["sparse-attention", "threshold"])
     def test_trains_end_to_end(self, gate):
         from repro.data import leave_one_out_split
-        from repro.data.batching import DataLoader
+        from repro.data import DataLoader
         ds = generate("beauty", seed=0, scale=0.25)
         split = leave_one_out_split(ds, max_len=8)
         model = SSDRec(ds, config=SSDRecConfig(dim=DIM, max_len=8,

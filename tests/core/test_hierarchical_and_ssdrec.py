@@ -5,8 +5,8 @@ import pytest
 
 from repro.core import (HierarchicalDenoising, SSDRec, SSDRecConfig,
                         SelfAugmentation)
-from repro.data import generate, leave_one_out_split
-from repro.data.batching import Batch, DataLoader, pad_sequences
+from repro.data import DataLoader, generate, leave_one_out_split
+from repro.data.batching import Batch, pad_sequences
 from repro.models import BACKBONES, GRU4Rec, SASRec
 from repro.nn import Adam, Tensor
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data import (InteractionDataset, SequenceExample, k_core_filter,
-                        leave_one_out_split, popularity_split, remap_ids)
+                        leave_one_out_split, popularity_split, remap_ids,
+                        write_store_from_dataset)
 
 
 def make_dataset(sequences, num_items=None):
@@ -52,12 +53,13 @@ class TestLeaveOneOut:
     def test_basic_split(self):
         ds = make_dataset([[1, 2, 3, 4, 5]], num_items=5)
         split = leave_one_out_split(ds, max_len=10)
-        assert split.test[0].target == 5
-        assert split.test[0].sequence == [1, 2, 3, 4]
-        assert split.valid[0].target == 4
-        assert split.valid[0].sequence == [1, 2, 3]
-        assert split.train[0].target == 3
-        assert split.train[0].sequence == [1, 2]
+        (test,), (valid,), (train,) = split.test, split.valid, split.train
+        assert test.target == 5
+        assert list(test.sequence) == [1, 2, 3, 4]
+        assert valid.target == 4
+        assert list(valid.sequence) == [1, 2, 3]
+        assert train.target == 3
+        assert list(train.sequence) == [1, 2]
 
     def test_short_sequences_skipped(self):
         ds = make_dataset([[1, 2], [1, 2, 3]], num_items=3)
@@ -67,8 +69,9 @@ class TestLeaveOneOut:
     def test_truncation_keeps_recent(self):
         ds = make_dataset([list(range(1, 11))], num_items=10)
         split = leave_one_out_split(ds, max_len=3)
-        assert split.test[0].sequence == [7, 8, 9]
-        assert split.test[0].target == 10
+        (test,) = split.test
+        assert list(test.sequence) == [7, 8, 9]
+        assert test.target == 10
 
     def test_prefix_augmentation(self):
         ds = make_dataset([[1, 2, 3, 4, 5, 6]], num_items=6)
@@ -85,6 +88,19 @@ class TestLeaveOneOut:
         ds = make_dataset([[1, 2, 3]], num_items=3)
         with pytest.raises(ValueError):
             leave_one_out_split(ds, max_len=0)
+
+    @pytest.mark.parametrize("backend", ["memory", "store"])
+    def test_min_length_below_two_rejected(self, backend, tmp_path):
+        """A length-1 user has no item to hold out for valid; the split
+        refuses the argument instead of failing with an IndexError."""
+        ds = InteractionDataset("t", 2, 5, [[], [1], [1, 2, 3, 4]])
+        view = (ds if backend == "memory"
+                else write_store_from_dataset(ds, tmp_path / "s"))
+        for min_length in (1, 0):
+            with pytest.raises(ValueError, match="min_length"):
+                leave_one_out_split(view, min_length=min_length)
+        split = leave_one_out_split(view, min_length=2)
+        assert [ex.user for ex in split.valid] == [2]
 
 
 class TestKCore:

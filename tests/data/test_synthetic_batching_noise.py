@@ -90,6 +90,16 @@ class TestPadding:
         with pytest.raises(ValueError):
             pad_sequences([])
 
+    def test_rows_of_any_sequence_type_pad_alike(self):
+        rows = [[1, 2, 3, 4], [], [5]]
+        want = pad_sequences(rows, max_len=3)
+        for convert in (tuple, lambda r: np.asarray(r, dtype=np.int64)):
+            got = pad_sequences([convert(r) for r in rows], max_len=3)
+            for a, b in zip(want, got):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(want[0], [[2, 3, 4], [0, 0, 0],
+                                                [0, 0, 5]])
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.lists(st.integers(1, 50), min_size=1, max_size=12),
                     min_size=1, max_size=6))
@@ -229,44 +239,6 @@ class TestOUPScoring:
         _, noisy = self._tiny_noisy()
         with pytest.raises(ValueError):
             score_denoising(noisy, {1: [9999]})
-
-
-class TestBucketedDataLoader:
-    def _split(self):
-        from repro.data import BucketedDataLoader
-        ds = generate("beauty", seed=0, scale=0.3)
-        split = leave_one_out_split(ds, max_len=20)
-        return BucketedDataLoader, split
-
-    def test_covers_all_examples(self):
-        cls, split = self._split()
-        loader = cls(split.train, batch_size=16, max_len=20, seed=0)
-        assert sum(b.batch_size for b in loader) == len(split.train)
-
-    def test_batches_are_length_homogeneous(self):
-        cls, split = self._split()
-        spreads = []
-        for batch in cls(split.train, batch_size=16, max_len=20, seed=0):
-            spreads.append(batch.lengths.max() - batch.lengths.min())
-        # Bucketing keeps within-batch length spread small.
-        assert np.mean(spreads) <= 3
-
-    def test_less_padding_than_plain_loader(self):
-        from repro.data import DataLoader
-        cls, split = self._split()
-        def padded_cells(loader):
-            return sum((~b.mask).sum() + b.mask.sum() for b in loader), \
-                   sum((~b.mask).sum() for b in loader)
-        _, plain_pad = padded_cells(DataLoader(split.train, batch_size=16,
-                                               max_len=20, seed=0))
-        _, bucket_pad = padded_cells(cls(split.train, batch_size=16,
-                                         max_len=20, seed=0))
-        assert bucket_pad <= plain_pad
-
-    def test_width_capped_by_max_len(self):
-        cls, split = self._split()
-        for batch in cls(split.train, batch_size=16, max_len=6, seed=0):
-            assert batch.max_len <= 6
 
 
 class TestModuleSummary:

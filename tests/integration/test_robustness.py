@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core import SSDRec, SSDRecConfig
-from repro.data import (InteractionDataset, generate, inject_noise,
-                        leave_one_out_split)
-from repro.data.batching import Batch, DataLoader, pad_sequences
+from repro.data import (DataLoader, InteractionDataset, generate,
+                        inject_noise, leave_one_out_split)
+from repro.data.batching import Batch, pad_sequences
 from repro.denoise import DSAN, HSD
 from repro.graph import build_multi_relation_graph
 from repro.models import GRU4Rec, SASRec
@@ -70,7 +70,7 @@ class TestExtremeInputs:
         split = leave_one_out_split(ds, max_len=8)
         model = SASRec(num_items=ds.num_items, dim=8, max_len=8,
                        rng=np.random.default_rng(0))
-        loader = DataLoader(split.train[:3], batch_size=1, max_len=8)
+        loader = DataLoader(split.train.take(3), batch_size=1, max_len=8)
         for batch in loader:
             assert np.isfinite(model.loss(batch).item())
 

@@ -91,7 +91,7 @@ class TestSRGNN:
     def test_works_under_ssdrec(self):
         from repro.core import SSDRec, SSDRecConfig
         from repro.data import generate, leave_one_out_split
-        from repro.data.batching import DataLoader
+        from repro.data import DataLoader
         ds = generate("beauty", seed=0, scale=0.25)
         split = leave_one_out_split(ds, max_len=MAX_LEN)
         model = SSDRec(ds, backbone_cls=SRGNN,

@@ -1,12 +1,12 @@
-"""Trainer over the streaming backend: bitwise parity with in-memory
-training on the same data, and the sampled softmax loss used at full
-scale."""
+"""Trainer over the mmap store: bitwise parity with training on the
+in-memory dataset holding the same data, and the sampled softmax loss
+used at full scale."""
 
 import numpy as np
 import pytest
 
-from repro.data import (Batch, generate, leave_one_out_split,
-                        streaming_leave_one_out, write_store_from_dataset)
+from repro.data import (Batch, DataLoader, generate, leave_one_out_split,
+                        write_store_from_dataset)
 from repro.models import GRU4Rec
 from repro.train import TrainConfig, Trainer
 
@@ -17,7 +17,7 @@ def backends(tmp_path_factory):
     store = write_store_from_dataset(
         ds, tmp_path_factory.mktemp("strtrain") / "s")
     memory = leave_one_out_split(ds, max_len=10)
-    streaming = streaming_leave_one_out(store, max_len=10)
+    streaming = leave_one_out_split(store, max_len=10)
     return ds, memory, streaming
 
 
@@ -29,7 +29,7 @@ def fresh_model(ds):
 class TestStreamingParity:
     def test_two_epochs_bitwise_identical(self, backends):
         """Same seeds, same data → identical loss/metric history whether
-        the split is in-memory lists or mmap-backed streams."""
+        the split streams from the in-memory dataset or the mmap store."""
         ds, memory, streaming = backends
         config = TrainConfig(epochs=2, batch_size=16, seed=4, patience=5)
         histories = []
@@ -53,8 +53,7 @@ class TestStreamingParity:
 class TestSampledLoss:
     def make_batch(self, ds):
         split = leave_one_out_split(ds, max_len=10)
-        examples = split.train[:8]
-        from repro.data import DataLoader
+        examples = split.train.take(8)
         return next(iter(DataLoader(examples, batch_size=8, max_len=10,
                                     shuffle=False)))
 
