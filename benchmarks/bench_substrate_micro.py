@@ -10,7 +10,7 @@ import pytest
 
 from repro.data import generate
 from repro.graph import build_multi_relation_graph
-from repro.nn import (LSTM, BiLSTM, LSTMCell, Tensor, TransformerEncoder,
+from repro.nn import (LSTM, BiLSTM, Tensor, TransformerEncoder,
                       gumbel_softmax, reference, scaled_dot_product_attention)
 from repro.nn import functional as F
 
@@ -136,42 +136,6 @@ def test_micro_cross_entropy_unfused(benchmark):
     def step():
         logits.grad = None
         reference.cross_entropy_unfused(logits, targets).backward()
-
-    benchmark(step)
-
-
-def _lstm_inputs():
-    rng = np.random.default_rng(2)
-    cell = LSTMCell(64, 64, rng=np.random.default_rng(0))
-    x = Tensor(rng.normal(size=(128, 64)), requires_grad=True)
-    h = Tensor(rng.normal(size=(128, 64)), requires_grad=True)
-    c = Tensor(rng.normal(size=(128, 64)), requires_grad=True)
-    return cell, x, h, c
-
-
-@pytest.mark.benchmark(group="lstm-step")
-def test_micro_lstm_step_fused(benchmark):
-    cell, x, h, c = _lstm_inputs()
-
-    def step():
-        cell.zero_grad()
-        x.grad = h.grad = c.grad = None
-        h2, c2 = cell(x, (h, c))
-        (h2.sum() + c2.sum()).backward()
-
-    benchmark(step)
-
-
-@pytest.mark.benchmark(group="lstm-step")
-def test_micro_lstm_step_unfused(benchmark):
-    cell, x, h, c = _lstm_inputs()
-
-    def step():
-        cell.zero_grad()
-        x.grad = h.grad = c.grad = None
-        h2, c2 = reference.lstm_step_unfused(x, h, c, cell.w_ih, cell.w_hh,
-                                             cell.bias, 64)
-        (h2.sum() + c2.sum()).backward()
 
     benchmark(step)
 

@@ -60,7 +60,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.report import finish, write_json_report  # noqa: E402
-from repro.nn import (GRU, LSTM, LayerNorm, LSTMCell, Tensor,  # noqa: E402
+from repro.nn import (GRU, LSTM, LayerNorm, Tensor,  # noqa: E402
                       reference, scaled_dot_product_attention)
 from repro.nn import functional as F  # noqa: E402
 
@@ -219,34 +219,6 @@ def attention_pair():
     return fused, unfused
 
 
-def lstm_step_pair():
-    # Compares the packed-state kernel itself (what LSTM's loop uses),
-    # not the LSTMCell tuple API whose concat/narrow wrappers are
-    # amortized across a real sequence.
-    from repro.nn import lstm_step
-
-    rng = np.random.default_rng(2)
-    cell = LSTMCell(32, 32, rng=np.random.default_rng(0))
-    x = Tensor(rng.normal(size=(256, 32)), requires_grad=True)
-    hc = Tensor(rng.normal(size=(256, 64)), requires_grad=True)
-    h = Tensor(hc.data[:, :32].copy(), requires_grad=True)
-    c = Tensor(hc.data[:, 32:].copy(), requires_grad=True)
-
-    def fused():
-        cell.zero_grad()
-        x.grad = hc.grad = None
-        lstm_step(x, hc, cell.w_ih, cell.w_hh, cell.bias, 32).sum().backward()
-
-    def unfused():
-        cell.zero_grad()
-        x.grad = h.grad = c.grad = None
-        h2, c2 = reference.lstm_step_unfused(x, h, c, cell.w_ih, cell.w_hh,
-                                             cell.bias, 32)
-        (h2.sum() + c2.sum()).backward()
-
-    return fused, unfused
-
-
 def lstm_pair():
     lstm = LSTM(32, 32, rng=np.random.default_rng(0))
     cell = lstm.cell
@@ -328,7 +300,6 @@ BENCHES = {
     "cross_entropy": cross_entropy_pair,
     "linear": linear_pair,
     "attention_fwd_bwd": attention_pair,
-    "lstm_step": lstm_step_pair,
     "lstm_recurrence": lstm_pair,
     "gru_recurrence": gru_pair,
     "layer_norm": layer_norm_pair,

@@ -31,8 +31,8 @@ parameter dict, whose weights are the live arrays (convert with
 
 Float64 policy
 --------------
-The serving substrate computes in ``float64`` end to end — the parity
-contract with the training graph (<= 1e-6) depends on it, and the
+The serving substrate computes in ``float64`` end to end — the exact
+parity contract with the training graph depends on it, and the
 ``NEG_INF`` masking sentinel is a float64 quantity.  The
 ``dtype-discipline`` lint rule requires every array allocation to state
 its dtype *explicitly* and flags explicit ``np.float64`` pins in any
@@ -163,7 +163,7 @@ def signature(*names: str):
 
 
 # ---------------------------------------------------------------------------
-# Kernel signatures (mirror repro.serve.executors exactly)
+# Kernel signatures (mirror repro.nn.kernels / repro.serve.executors)
 # ---------------------------------------------------------------------------
 @signature("sigmoid", "relu", "tanh")
 def sig_elementwise_activation(ins, params):
@@ -751,8 +751,8 @@ FLOAT64_POLICY: Dict[str, str] = {
                      "coerces all float data to float64 on construction"),
     "nn/functional.py": ("fused kernels mirror the float64 substrate; "
                          "loss weights are float64 probabilities"),
-    "nn/attention.py": ("SDPA kernel computes float64 scores against the "
-                        "float64 NEG_INF masking sentinel"),
+    "nn/attention.py": ("the attention-dropout multiplier scales the "
+                        "float64 attention weights"),
     "nn/reference.py": ("parity oracles must accumulate in float64 to "
                         "serve as the <=1e-6 comparison baseline"),
     "nn/module.py": ("load_state_dict casts checkpoint payloads to the "
@@ -762,12 +762,15 @@ FLOAT64_POLICY: Dict[str, str] = {
     "nn/init.py": "initializers allocate float64 parameter storage",
     "nn/gumbel.py": ("Gumbel noise is added to float64 logits; sampling "
                      "in lower precision would bias the soft-top-k"),
-    "serve/executors.py": ("frozen kernels must match the training "
-                           "substrate bit-for-bit; NEG_INF is a float64 "
-                           "sentinel"),
-    "serve/plan.py": ("freeze() snapshots weights as float64 — the "
-                      "parity tolerance (1e-6) assumes no precision "
-                      "drop; quantized plans must opt in explicitly"),
+    "nn/kernels.py": ("defines the float64 NEG_INF masking sentinel; the "
+                      "shared kernels themselves allocate from their "
+                      "input dtype"),
+    "serve/executors.py": ("serving glue casts masks and allocates "
+                           "buffers as float64 to match the float64 "
+                           "activations of the training forward"),
+    "serve/plan.py": ("freeze() snapshots weights as float64 so frozen "
+                      "forwards equal the float64 training forward "
+                      "exactly; quantized plans must opt in explicitly"),
     "serve/service.py": ("error Recommendations carry float64 score "
                          "arrays to stay wire-compatible with real "
                          "results"),

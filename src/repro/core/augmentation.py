@@ -27,6 +27,7 @@ import numpy as np
 from ..nn import (BiLSTM, Module, TemperatureSchedule, Tensor,
                   gumbel_log_logits, gumbel_softmax)
 from ..nn import functional as F
+from ..nn.kernels import NEG_INF
 from ..nn.rng import resolve_rng
 
 
@@ -78,7 +79,7 @@ class InconsistencyScorer(Module):
         """Gumbel-selected position one-hot (Eq. 11) + integer positions."""
         scores = self.forward(states, mask)
         masked_log = gumbel_log_logits(scores).masked_fill(
-            ~np.asarray(mask, bool), np.finfo(np.float64).min / 4)
+            ~np.asarray(mask, bool), NEG_INF)
         one_hot = gumbel_softmax(masked_log, tau=tau, hard=hard,
                                  rng=self.rng, deterministic=deterministic)
         positions = one_hot.data.argmax(axis=-1)
@@ -182,7 +183,7 @@ class SelfAugmentation(Module):
         logits = query @ item_table.transpose()          # (B, V+1)
         pad = np.zeros(logits.shape, dtype=bool)
         pad[:, 0] = True
-        logits = logits.masked_fill(pad, np.finfo(np.float64).min / 4)
+        logits = logits.masked_fill(pad, NEG_INF)
         k_hat = gumbel_softmax(logits, tau=tau, hard=True, rng=self.rng,
                                deterministic=not self.training)
         embedding = k_hat @ item_table                   # (B, d)

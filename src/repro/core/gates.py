@@ -25,9 +25,8 @@ from ..denoise.hsd import NoiseGate, _standardize
 from ..nn import Linear, Module, TemperatureSchedule, Tensor, sparsemax
 from ..nn.gumbel import gumbel_sigmoid
 from ..nn.module import Parameter
+from ..nn.kernels import NEG_INF
 from ..nn.rng import resolve_rng
-
-_NEG_INF = np.finfo(np.float64).min / 4
 
 
 class SparseAttentionGate(Module):
@@ -70,7 +69,7 @@ class SparseAttentionGate(Module):
         k = self.key_proj(states)                        # (B, L, d)
         energy = (k * q.expand_dims(1)).sum(axis=-1) \
             * (1.0 / np.sqrt(self.dim))
-        energy = energy.masked_fill(~mask, _NEG_INF)
+        energy = energy.masked_fill(~mask, NEG_INF)
         attention = sparsemax(energy)                    # exact zeros
         support = (attention.data > 1e-9).astype(np.float64)
         # Straight-through: binary support forward, sparsemax grads back.

@@ -37,9 +37,8 @@ from ..nn import functional as F
 from .augmentation import SelfAugmentation
 from .encoder import GlobalRelationEncoder
 from .hierarchical import HierarchicalDenoising
+from ..nn.kernels import NEG_INF
 from ..nn.rng import resolve_rng
-
-_NEG_INF = np.finfo(np.float64).min / 4
 
 
 @dataclass
@@ -188,7 +187,7 @@ class SSDRec(SequenceDenoiser):
         logits = rep @ item_table.transpose()
         pad = np.zeros(logits.shape, dtype=bool)
         pad[:, PAD_ID] = True
-        return logits.masked_fill(pad, _NEG_INF)
+        return logits.masked_fill(pad, NEG_INF)
 
     def forward(self, items: np.ndarray, mask: Optional[np.ndarray] = None,
                 users: Optional[np.ndarray] = None) -> Tensor:

@@ -20,9 +20,8 @@ from ..nn import (Dropout, Embedding, Linear, PositionalEmbedding, Tensor,
 from ..nn import functional as F
 from ..nn.module import Parameter
 from .base import SequenceDenoiser
+from ..nn.kernels import NEG_INF
 from ..nn.rng import resolve_rng
-
-_NEG_INF = np.finfo(np.float64).min / 4
 
 
 class DSAN(SequenceDenoiser):
@@ -63,13 +62,13 @@ class DSAN(SequenceDenoiser):
         scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.dim))
         attn_mask = ~np.asarray(mask, bool)[:, None, :]
         scores = scores.masked_fill(
-            np.broadcast_to(attn_mask, scores.shape), _NEG_INF)
+            np.broadcast_to(attn_mask, scores.shape), NEG_INF)
         refined = F.softmax(scores, axis=-1) @ v + x
         # Sparse virtual-target attention: decides which items survive.
         target = self.target_proj(
             self.virtual_target.reshape(1, self.dim))  # (1, d)
         energy = (refined @ target.transpose()).squeeze(-1)  # (B, L)
-        energy = energy.masked_fill(~np.asarray(mask, bool), _NEG_INF)
+        energy = energy.masked_fill(~np.asarray(mask, bool), NEG_INF)
         weights = sparsemax(energy)  # exact zeros at dropped items
         rep = (refined * weights.expand_dims(-1)).sum(axis=1)
         last = refined[:, -1, :]
@@ -85,7 +84,7 @@ class DSAN(SequenceDenoiser):
         logits = rep @ self.item_embedding.weight.transpose()
         pad = np.zeros(logits.shape, dtype=bool)
         pad[:, PAD_ID] = True
-        return logits.masked_fill(pad, _NEG_INF)
+        return logits.masked_fill(pad, NEG_INF)
 
     def loss(self, batch: Batch) -> Tensor:
         logits = self.forward(batch.items, batch.mask)

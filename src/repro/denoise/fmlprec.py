@@ -24,9 +24,8 @@ from ..nn import functional as F
 from ..nn.module import Parameter
 from ..nn.tensor import ensure_tensor
 from .base import SequenceDenoiser
+from ..nn.kernels import NEG_INF
 from ..nn.rng import resolve_rng
-
-_NEG_INF = np.finfo(np.float64).min / 4
 
 
 def circular_filter(x: Tensor, kernel: Tensor) -> Tensor:
@@ -124,7 +123,7 @@ class FMLPRec(SequenceDenoiser):
         logits = last @ self.item_embedding.weight.transpose()
         pad = np.zeros(logits.shape, dtype=bool)
         pad[:, PAD_ID] = True
-        return logits.masked_fill(pad, _NEG_INF)
+        return logits.masked_fill(pad, NEG_INF)
 
     def _fit(self, items: np.ndarray, mask: np.ndarray) -> tuple:
         """Pad/truncate to the fixed filter length."""

@@ -21,9 +21,9 @@ from ..nn import (Dropout, Embedding, Linear, PositionalEmbedding, Tensor,
                   TransformerEncoder, no_grad)
 from ..nn import functional as F
 from .base import SequenceDenoiser
+from ..nn.kernels import NEG_INF
 from ..nn.rng import resolve_rng
 
-_NEG_INF = np.finfo(np.float64).min / 4
 
 OP_KEEP, OP_DELETE, OP_INSERT = 0, 1, 2
 
@@ -75,7 +75,7 @@ class STEAM(SequenceDenoiser):
         logits = rep @ self.item_embedding.weight.transpose()
         pad = np.zeros(logits.shape, dtype=bool)
         pad[:, PAD_ID] = True
-        return logits.masked_fill(pad, _NEG_INF)
+        return logits.masked_fill(pad, NEG_INF)
 
     def _readout(self, hidden: Tensor, mask: np.ndarray) -> Tensor:
         """Mean over kept positions (robust to delete decisions)."""
@@ -147,7 +147,7 @@ class STEAM(SequenceDenoiser):
         logits = rep @ self.item_embedding.weight.transpose()
         pad = np.zeros(logits.shape, dtype=bool)
         pad[:, PAD_ID] = True
-        rec = F.cross_entropy(logits.masked_fill(pad, _NEG_INF), batch.targets)
+        rec = F.cross_entropy(logits.masked_fill(pad, NEG_INF), batch.targets)
         return rec + self.correction_weight * correction
 
     # ------------------------------------------------------------------

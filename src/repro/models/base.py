@@ -24,9 +24,8 @@ from ..data.batching import Batch
 from ..data.dataset import PAD_ID
 from ..nn import Embedding, Module, Tensor
 from ..nn import functional as F
+from ..nn.kernels import NEG_INF
 from ..nn.rng import resolve_rng
-
-_NEG_INF = np.finfo(np.float64).min / 4
 
 
 class SequentialRecommender(Module):
@@ -87,7 +86,7 @@ class SequentialRecommender(Module):
         logits = seq_repr @ table.transpose()
         pad_mask = np.zeros(logits.shape, dtype=bool)
         pad_mask[:, PAD_ID] = True
-        return logits.masked_fill(pad_mask, _NEG_INF)
+        return logits.masked_fill(pad_mask, NEG_INF)
 
     def forward(self, items: np.ndarray,
                 mask: Optional[np.ndarray] = None) -> Tensor:
@@ -124,7 +123,7 @@ class SequentialRecommender(Module):
         logits = reprs @ table.transpose()
         duplicate = candidates[None, :] == targets[:, None]
         duplicate[np.arange(rows), np.arange(rows)] = False
-        return F.cross_entropy(logits.masked_fill(duplicate, _NEG_INF),
+        return F.cross_entropy(logits.masked_fill(duplicate, NEG_INF),
                                np.arange(rows))
 
     # ------------------------------------------------------------------

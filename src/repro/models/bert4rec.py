@@ -17,6 +17,7 @@ from ..data.dataset import PAD_ID
 from ..nn import (Dropout, Embedding, PositionalEmbedding, Tensor,
                   TransformerEncoder)
 from ..nn import functional as F
+from ..nn.kernels import NEG_INF
 from .base import SequentialRecommender
 
 
@@ -68,7 +69,7 @@ class BERT4Rec(SequentialRecommender):
             # Never recommend the [MASK] pseudo-item.
             mask = np.zeros(logits.shape, dtype=bool)
             mask[:, self.mask_token] = True
-            logits = logits.masked_fill(mask, np.finfo(np.float64).min / 4)
+            logits = logits.masked_fill(mask, NEG_INF)
         return logits
 
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ recurrent and attention modules, optimizers, and Gumbel-Softmax sampling.
 """
 
 from . import functional
+from . import kernels
 from . import reference
 from .attention import (MultiHeadAttention, TransformerEncoder,
                         TransformerEncoderLayer, causal_mask, padding_mask,
@@ -20,7 +21,7 @@ from .optim import SGD, Adam, clip_grad_norm
 from .profiler import Profiler, profiler
 from .rng import default_generator, resolve_rng, set_global_seed
 from .rnn import (GRU, LSTM, BiLSTM, GRUCell, LSTMCell, gru_sequence,
-                  gru_step, lstm_sequence, lstm_step)
+                  gru_step, lstm_sequence)
 from .sanitizer import Sanitizer, SanitizerError, sanitizer
 from .schedulers import (CosineAnnealingLR, ExponentialLR, LRScheduler,
                          ReduceOnPlateau, StepLR, WarmupLR)
@@ -34,7 +35,7 @@ __all__ = [
     "GRU", "LSTM", "BiLSTM", "GRUCell", "LSTMCell",
     "MultiHeadAttention", "TransformerEncoder", "TransformerEncoderLayer",
     "causal_mask", "padding_mask", "sparsemax",
-    "scaled_dot_product_attention", "lstm_step", "gru_step",
+    "scaled_dot_product_attention", "gru_step",
     "lstm_sequence", "gru_sequence",
     "Profiler", "profiler", "reference",
     "Sanitizer", "SanitizerError", "sanitizer",
@@ -44,5 +45,5 @@ __all__ = [
     "SGD", "Adam", "clip_grad_norm",
     "LRScheduler", "StepLR", "ExponentialLR", "CosineAnnealingLR",
     "WarmupLR", "ReduceOnPlateau",
-    "functional",
+    "functional", "kernels",
 ]

@@ -11,11 +11,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .layers import Dropout, FeedForward, LayerNorm, Linear
 from .module import Module
 from .tensor import Tensor, ensure_tensor
-
-_NEG_INF = np.finfo(np.float64).min / 4
 
 
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
@@ -46,17 +45,9 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
     if scale is None:
         scale = 1.0 / np.sqrt(q.shape[-1])
     q_data, k_data, v_data = q.data, k.data, v.data
-    scores = q_data @ np.swapaxes(k_data, -1, -2)
-    scores *= scale
-    if attn_mask is not None:
-        blocked = np.broadcast_to(~np.asarray(attn_mask, dtype=bool),
-                                  scores.shape)
-        np.copyto(scores, _NEG_INF, where=blocked)
-    # In-place stable softmax over the last axis.
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    weights = scores
+    blocked = (None if attn_mask is None
+               else ~np.asarray(attn_mask, dtype=bool))
+    weights = kernels.attention_weights(q_data, k_data, scale, blocked)
     dropped = weights if dropout_mask is None else weights * dropout_mask
     out_data = dropped @ v_data
 

@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .tensor import Tensor, ensure_tensor
 from .rng import resolve_rng
 
@@ -80,12 +81,8 @@ def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
         Boolean array broadcastable to ``x.shape``; True marks valid entries.
     """
     x = ensure_tensor(x)
-    neg_inf = np.finfo(np.float64).min / 4
     valid = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    out_data = np.where(valid, x.data, neg_inf)
-    out_data -= out_data.max(axis=axis, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=axis, keepdims=True)
+    out_data = kernels.masked_softmax(x.data, valid, axis)
 
     def backward(grad):
         # Softmax JVP; masked entries have out_data == 0 there, except for
@@ -153,10 +150,10 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     x = ensure_tensor(x)
     weight = ensure_tensor(weight)
     x_data, w_data = x.data, weight.data
-    out_data = x_data @ w_data
     if bias is not None:
         bias = ensure_tensor(bias)
-        out_data += bias.data  # fresh array from matmul: in-place is safe
+    out_data = kernels.linear(x_data, w_data,
+                              None if bias is None else bias.data)
 
     def backward(grad):
         g_x = grad @ w_data.T
@@ -202,10 +199,10 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 def dropout(x: Tensor, p: float, training: bool,
             rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: active only when ``training`` and ``p > 0``."""
-    if not training or p <= 0.0:
-        return ensure_tensor(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return ensure_tensor(x)
     rng = resolve_rng(rng)
     x = ensure_tensor(x)
     mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)

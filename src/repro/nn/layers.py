@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import functional as F
-from . import init
+from . import init, kernels
 from .module import Module, Parameter
 from .tensor import Tensor, ensure_tensor
 from .rng import resolve_rng
@@ -73,6 +73,9 @@ class Dropout(Module):
 
     def __init__(self, p: float = 0.1, rng: Optional[np.random.Generator] = None):
         super().__init__()
+        if not 0.0 <= p < 1.0:
+            raise ValueError(
+                f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.rng = resolve_rng(rng)
 
@@ -95,14 +98,9 @@ class LayerNorm(Module):
         # (the unfused composition costs ~10 nodes per call and LayerNorm
         # runs twice per transformer block).
         x = ensure_tensor(x)
-        x_data = x.data
-        mu = x_data.mean(axis=-1, keepdims=True)
-        centered = x_data - mu
-        var = (centered ** 2).mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = centered * inv_std
         gamma, beta = self.gamma, self.beta
-        out_data = x_hat * gamma.data + beta.data
+        out_data, x_hat, inv_std = kernels.layer_norm(
+            x.data, gamma.data, beta.data, self.eps)
 
         def backward(grad):
             lead = tuple(range(grad.ndim - 1))

@@ -98,7 +98,6 @@ def _patch_targets() -> List[Tuple[object, str, str]]:
         (F, "linear", "fused.linear"),
         (F, "dropout", "functional.dropout"),
         (attention, "scaled_dot_product_attention", "fused.attention"),
-        (rnn, "lstm_step", "fused.lstm_step"),
         (rnn, "gru_step", "fused.gru_step"),
         (rnn, "lstm_sequence", "fused.lstm_sequence"),
         (rnn, "gru_sequence", "fused.gru_sequence"),

@@ -153,7 +153,3 @@ def sparsemax_unfused(x: Tensor, axis: int = -1) -> Tensor:
         * (1.0 / support_sizes)
     return (z - tau) * support
 
-
-def narrow_unfused(t: Tensor, start: int, stop: int) -> Tensor:
-    """Column slice through the generic ``__getitem__`` gather path."""
-    return ensure_tensor(t)[:, start:stop]

@@ -4,10 +4,11 @@ The Bi-LSTM is the paper's "context-aware encoder" (Eq. 9 and Eq. 12): its
 left-to-right hidden states ``H^L`` summarize each item's left context and
 its right-to-left states ``H^R`` the right context.
 
-Cell steps are *fused*: the whole gate computation (two matmuls, one
-sigmoid/tanh pass over the concatenated pre-activations, and the state
-update) runs in NumPy and records a single graph node per step, instead of
-the ~15 elementwise/slice nodes per step of the naive composition.
+Recurrences are *fused*: :func:`lstm_sequence` and :func:`gru_sequence`
+run the whole sequence in NumPy and record a single graph node with a
+hand-written BPTT backward, instead of ~15 elementwise/slice nodes per
+step of the naive composition.  The GRU's per-step forward is
+:func:`repro.nn.kernels.gru_step`, the same function frozen plans run.
 """
 
 from __future__ import annotations
@@ -16,98 +17,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import init
+from . import init, kernels
 from .module import Module, Parameter
 from .tensor import Tensor, ensure_tensor
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
-
-
-def lstm_step(x: Tensor, hc: Tensor, w_ih: Tensor, w_hh: Tensor,
-              bias: Tensor, hidden_dim: int) -> Tensor:
-    """One fused LSTM step.
-
-    Parameters
-    ----------
-    x:
-        ``(B, input_dim)`` input at this timestep.
-    hc:
-        ``(B, 2*hidden_dim)`` concatenated ``[h, c]`` previous state.
-    w_ih, w_hh, bias:
-        Fused gate parameters in ``(i, f, g, o)`` order.
-
-    Returns
-    -------
-    Tensor
-        ``(B, 2*hidden_dim)`` concatenated ``[h_new, c_new]``.  Feeding the
-        result straight back into the next step keeps the recurrence at one
-        graph node per timestep; use :func:`narrow` to read ``h`` or ``c``.
-    """
-    d = hidden_dim
-    x, hc = ensure_tensor(x), ensure_tensor(hc)
-    x_data, hc_data = x.data, hc.data
-    h, c = hc_data[:, :d], hc_data[:, d:]
-    gates = x_data @ w_ih.data
-    gates += h @ w_hh.data
-    gates += bias.data
-    # One activation array; sigmoid runs in-place over the contiguous
-    # (i, f) block and the o block, tanh over g — no per-gate temporaries.
-    acts = np.empty_like(gates)
-    for sl in (slice(0, 2 * d), slice(3 * d, 4 * d)):
-        a = acts[:, sl]                    # sigmoid as 0.5 * (1 + tanh(x/2))
-        np.multiply(gates[:, sl], 0.5, out=a)
-        np.tanh(a, out=a)
-        a += 1.0
-        a *= 0.5
-    np.tanh(gates[:, 2 * d:3 * d], out=acts[:, 2 * d:3 * d])
-    i, f = acts[:, :d], acts[:, d:2 * d]
-    g, o = acts[:, 2 * d:3 * d], acts[:, 3 * d:]
-    out_data = np.empty_like(hc_data)
-    c_new = out_data[:, d:]
-    np.multiply(f, c, out=c_new)
-    c_new += i * g
-    tanh_c = np.tanh(c_new)
-    np.multiply(o, tanh_c, out=out_data[:, :d])
-
-    def backward(grad):
-        gh, gc_out = grad[:, :d], grad[:, d:]
-        # d loss / d c_new, built in-place from the tanh derivative.
-        g_c = np.multiply(tanh_c, tanh_c)
-        np.subtract(1.0, g_c, out=g_c)
-        g_c *= gh
-        g_c *= o
-        g_c += gc_out
-        # Gate pre-activation grads, written into `gates` (its forward
-        # values are no longer needed) — allocation-free.  One full-width
-        # square gives every activation derivative: sigmoid' = a - a² on
-        # the (i, f) and o blocks, tanh' = 1 - a² on the g block.
-        da = gates
-        np.multiply(acts, acts, out=da)
-        np.subtract(acts[:, :2 * d], da[:, :2 * d], out=da[:, :2 * d])
-        np.subtract(1.0, da[:, 2 * d:3 * d], out=da[:, 2 * d:3 * d])
-        np.subtract(acts[:, 3 * d:], da[:, 3 * d:], out=da[:, 3 * d:])
-        da_i, da_f = da[:, :d], da[:, d:2 * d]
-        da_g, da_o = da[:, 2 * d:3 * d], da[:, 3 * d:]
-        da_i *= g
-        da_i *= g_c
-        da_f *= c
-        da_f *= g_c
-        da_g *= i
-        da_g *= g_c
-        da_o *= gh
-        da_o *= tanh_c
-        g_x = da @ w_ih.data.T
-        g_hc = np.empty_like(hc_data)
-        g_hc[:, :d] = da @ w_hh.data.T
-        np.multiply(g_c, f, out=g_hc[:, d:])
-        g_wih = x_data.T @ da
-        g_whh = h.T @ da
-        g_bias = da.sum(axis=0)
-        return (g_x, g_hc, g_wih, g_whh, g_bias)
-
-    return Tensor._make(out_data, (x, hc, w_ih, w_hh, bias), backward)
 
 
 def gru_step(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
@@ -115,18 +27,18 @@ def gru_step(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
     """One fused GRU step: ``(B, input_dim), (B, d) -> (B, d)``.
 
     Gate order matches :class:`GRUCell`: update (z), reset (r),
-    candidate (n).
+    candidate (n); the forward is :func:`repro.nn.kernels.gru_step`.
     """
     d = hidden_dim
     x, h = ensure_tensor(x), ensure_tensor(h)
     x_data, h_data = x.data, h.data
-    gi = x_data @ w_ih.data + b_ih.data
-    gh = h_data @ w_hh.data + b_hh.data
-    z = _sigmoid(gi[:, :d] + gh[:, :d])
-    r = _sigmoid(gi[:, d:2 * d] + gh[:, d:2 * d])
-    gh_n = gh[:, 2 * d:]
-    n = np.tanh(gi[:, 2 * d:] + r * gh_n)
-    out_data = (1.0 - z) * n + z * h_data
+    gi = kernels.linear(x_data, w_ih.data, b_ih.data)
+    zr = np.empty((gi.shape[0], 2 * d), dtype=gi.dtype)
+    n = np.empty((gi.shape[0], d), dtype=gi.dtype)
+    gh_n = np.empty((gi.shape[0], d), dtype=gi.dtype)
+    out_data = kernels.gru_step(gi, h_data, w_hh.data, b_hh.data, zr=zr,
+                                n=n, gh_n=gh_n)
+    z, r = zr[:, :d], zr[:, d:]
 
     def backward(grad):
         g_z = grad * (h_data - n)
@@ -293,9 +205,8 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
     # Time-major buffers for contiguous per-step slices (see lstm_sequence).
     x_tm = np.ascontiguousarray(x_data.transpose(1, 0, 2))
     x_tm2 = x_tm.reshape(length * batch, in_dim)
-    gi = x_tm2 @ w_ih_d
-    gi += b_ih.data
-    gi = gi.reshape(length, batch, 3 * d)
+    gi = kernels.linear(x_tm2, w_ih_d, b_ih.data).reshape(length, batch,
+                                                          3 * d)
     dtype = gi.dtype
     acts = np.empty((length, batch, 3 * d), dtype=dtype)  # z, r, n
     gh_ns = np.empty((length, batch, d), dtype=dtype)
@@ -306,26 +217,9 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
     else:
         hs[0] = 0.0
     for t in range(length):
-        gh = hs[t] @ w_hh_d
-        gh += b_hh.data
-        a = acts[t]
-        zr = a[:, :2 * d]
-        np.add(gi[t, :, :2 * d], gh[:, :2 * d], out=zr)
-        zr *= 0.5                                     # sigmoid via tanh
-        np.tanh(zr, out=zr)
-        zr += 1.0
-        zr *= 0.5
-        z, r = a[:, :d], a[:, d:2 * d]
-        gh_n = gh_ns[t]
-        gh_n[:] = gh[:, 2 * d:]
-        n = a[:, 2 * d:]
-        np.multiply(r, gh_n, out=n)
-        n += gi[t, :, 2 * d:]
-        np.tanh(n, out=n)
-        h_new = hs[t + 1]
-        np.subtract(hs[t], n, out=h_new)
-        h_new *= z
-        h_new += n
+        kernels.gru_step(gi[t], hs[t], w_hh_d, b_hh.data,
+                         zr=acts[t, :, :2 * d], n=acts[t, :, 2 * d:],
+                         gh_n=gh_ns[t], out=hs[t + 1])
     out = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
 
     def backward(grad):
@@ -380,24 +274,6 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
     return Tensor._make(out, parents, backward)
 
 
-def narrow(t: Tensor, start: int, stop: int) -> Tensor:
-    """Columns ``[start:stop)`` of a 2-D tensor with an allocation-light
-    backward (zero-fill + view assignment, no ``np.add.at``)."""
-    t = ensure_tensor(t)
-    out_data = t.data[:, start:stop]
-    shape = t.shape
-    dtype = t.dtype
-
-    def backward(grad):
-        full = np.zeros(shape, dtype=dtype)
-        full[:, start:stop] = grad
-        return (full,)
-
-    out = Tensor._make(out_data, (t,), backward)
-    out._version = t._version  # view: shares the source's mutation counter
-    return out
-
-
 class GRUCell(Module):
     """A single gated recurrent unit step."""
 
@@ -418,7 +294,7 @@ class GRUCell(Module):
 
 
 class LSTMCell(Module):
-    """A single LSTM step with fused gate weights (i, f, g, o)."""
+    """The fused gate weights (i, f, g, o) of an :class:`LSTM`."""
 
     def __init__(self, input_dim: int, hidden_dim: int,
                  rng: Optional[np.random.Generator] = None):
@@ -430,18 +306,6 @@ class LSTMCell(Module):
         self.bias = Parameter(init.zeros((4 * hidden_dim,)))
         # Forget-gate bias of 1.0 is the standard trick for gradient flow.
         self.bias.data[hidden_dim:2 * hidden_dim] = 1.0
-
-    def step_fused(self, x: Tensor, hc: Tensor) -> Tensor:
-        """Fused-state step: ``(B, 2d) -> (B, 2d)`` (``[h, c]`` packed)."""
-        return lstm_step(x, hc, self.w_ih, self.w_hh, self.bias,
-                         self.hidden_dim)
-
-    def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
-        h, c = state
-        hc = self.step_fused(x, Tensor.concat([ensure_tensor(h),
-                                               ensure_tensor(c)], axis=1))
-        d = self.hidden_dim
-        return narrow(hc, 0, d), narrow(hc, d, 2 * d)
 
 
 class GRU(Module):

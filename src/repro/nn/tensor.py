@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import kernels
 from .rng import resolve_rng
 
 Arrayable = Union["Tensor", np.ndarray, float, int, list, tuple]
@@ -38,9 +39,8 @@ class _Version:
     compares the value recorded when a graph node saved a tensor for
     backward against the value at backward time.  Views created through
     the official aliasing ops (:meth:`Tensor.detach`, basic
-    ``__getitem__`` slicing, :func:`repro.nn.rnn.narrow`) share the
-    counter object; copies (:meth:`Tensor.clone`, :meth:`Tensor.copy`)
-    get a fresh one.
+    ``__getitem__`` slicing) share the counter object; copies
+    (:meth:`Tensor.clone`, :meth:`Tensor.copy`) get a fresh one.
     """
 
     __slots__ = ("value",)
@@ -675,7 +675,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60, 60)))
+        out_data = kernels.sigmoid(self.data)
 
         def backward(grad):
             return (grad * out_data * (1.0 - out_data),)

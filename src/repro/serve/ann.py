@@ -43,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .executors import NEG_INF
+from ..nn.kernels import NEG_INF
 
 #: Default clusters probed per query; ~sqrt(V) clusters means each probe
 #: adds ~sqrt(V) candidates, so 8 probes cover ~2.5% of a 100k catalog.

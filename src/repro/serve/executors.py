@@ -1,24 +1,31 @@
-"""Pure-NumPy inference kernels for frozen forward plans.
+"""Serving kernels for frozen forward plans: ops training does not share.
 
-Every function here mirrors one forward pass of the training substrate
-(``repro.nn``) *exactly* — same formulas, same masking sentinel, same
-in-place stable-softmax order — but operates on plain ``np.ndarray``
-inputs and never builds autograd ``Tensor`` graphs.  Plan step programs
-run these kernels through the op table in :mod:`repro.serve.program`:
-a step calls ``kernel(*inputs, **params)``, so env inputs come first and
-weights/constants are keyword parameters.  The ``serve-graph-free``
-lint rule (``scripts/static_check.py``) enforces that guarantee
-statically; ``tests/serve/test_frozen_parity.py`` enforces it
-numerically (<= 1e-6 against the graph path).
+Plan step programs run through the op table in
+:mod:`repro.serve.program`: a step calls ``kernel(*inputs, **params)``,
+so env inputs come first and weights/constants are keyword parameters.
+Every op whose forward training also runs — linear, layer norm, masked
+softmax, attention weights, the clipped sigmoid, the GRU cell step —
+lives once in :mod:`repro.nn.kernels`: the table maps those ops straight
+to it, and the composite kernels here (the Transformer encoders, the GRU
+recurrence) call it.  What remains here is glue with no training twin:
+lookups, masks, reshapes, readouts, the SSDRec gate, scoring.  None of
+it builds autograd ``Tensor`` graphs; the ``serve-graph-free`` lint rule
+(``scripts/static_check.py``) enforces that statically.
 
 Parity notes
 ------------
-* ``sigmoid`` uses the clipped form ``1 / (1 + exp(-clip(x, -60, 60)))``
-  (``Tensor.sigmoid``); the GRU kernels use the tanh identity
-  ``0.5 * (1 + tanh(x / 2))`` exactly as ``gru_sequence`` does.
-* All masked fills use ``NEG_INF = np.finfo(np.float64).min / 4`` — the
-  sentinel shared by ``models.base``, ``nn.attention`` and
-  ``nn.functional.masked_softmax``.
+* A frozen plan's sequence representation equals its model's eval
+  forward bit for bit.  The shared kernels make that hold by
+  construction; the kernels here keep it by using the training
+  composition's operation order, e.g. :func:`gelu` cubes as
+  ``((0.044715 * x) * x) * x`` like ``F.gelu``.
+  (``tests/serve/test_frozen_parity.py`` asserts exact equality of the
+  scores too.  :func:`score` multiplies a pinned contiguous ``(d, V)``
+  table where training multiplies a transposed view, and BLAS may round
+  those two layouts differently at some catalog sizes.)
+* ``gru_forward(step_mask=...)`` (tight padding) deliberately steps
+  only through valid positions, which the graph path does not do.
+* Masked fills use :data:`repro.nn.kernels.NEG_INF`.
 """
 
 from __future__ import annotations
@@ -28,22 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-NEG_INF = np.finfo(np.float64).min / 4
+from ..nn.kernels import (NEG_INF, attention_weights, gru_step, layer_norm,
+                          linear)
 
 
 # ---------------------------------------------------------------------------
 # Elementwise activations
 # ---------------------------------------------------------------------------
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Clipped logistic sigmoid, mirroring ``Tensor.sigmoid``."""
-    out = np.clip(x, -60.0, 60.0)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
-    return out
-
 
 def relu(x: np.ndarray) -> np.ndarray:
     """In-place ReLU (value-identical to ``x * (x > 0)``)."""
@@ -51,10 +49,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-approximation GELU, mirroring ``F.gelu``."""
-    inner = x * x
+    """tanh-approximation GELU in ``F.gelu``'s operation order."""
+    inner = x * 0.044715
     inner *= x
-    inner *= 0.044715
+    inner *= x
     inner += x
     inner *= 0.7978845608028654
     np.tanh(inner, out=inner)
@@ -64,128 +62,54 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return inner
 
 
-def linear(x: np.ndarray, weight: np.ndarray,
-           bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """Affine map ``x @ W + b`` (weight is ``(in, out)`` as in ``Linear``)."""
-    out = x @ weight
-    if bias is not None:
-        out += bias
-    return out
-
-
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float = 1e-8) -> np.ndarray:
-    """LayerNorm over the last axis, mirroring ``nn.LayerNorm``."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    out = centered
-    out *= inv_std
-    out *= gamma
-    out += beta
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Softmax / attention
+# Transformer
 # ---------------------------------------------------------------------------
 
-def masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row softmax with invalid entries forced to probability zero.
-
-    Mirrors ``F.masked_softmax`` (axis=-1): fully-masked rows come out
-    uniform, exactly as the graph op does.
-    """
-    valid = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    out = np.where(valid, x, NEG_INF)
-    out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
-
-
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-              attn_mask: Optional[np.ndarray], scale: float) -> np.ndarray:
-    """``softmax(scale * q k^T + mask) @ v`` — the eval half of
-    ``scaled_dot_product_attention``, same in-place stable softmax."""
-    scores = q @ np.swapaxes(k, -1, -2)
-    scores *= scale
-    if attn_mask is not None:
-        blocked = np.broadcast_to(~np.asarray(attn_mask, dtype=bool),
-                                  scores.shape)
-        np.copyto(scores, NEG_INF, where=blocked)
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores @ v
-
-
-def transformer_layer(x: np.ndarray, params: dict, attn_mask4: np.ndarray,
-                      num_heads: int) -> np.ndarray:
+def transformer_block(x: np.ndarray, params: dict, num_heads: int,
+                      blocked: Optional[np.ndarray] = None,
+                      prefix: tuple = ()) -> tuple:
     """One pre-norm Transformer block (MHA + residual, FFN + residual).
 
-    ``params`` holds the fused QKV projection (the three input projections
-    concatenated column-wise into one ``(d, 3d)`` matmul), the output
-    projection, both LayerNorms, and the FFN weights; see
-    ``plan._compile_transformer``.
+    ``params`` holds the fused QKV projection (the three input
+    projections concatenated column-wise into one ``(d, 3d)`` matmul),
+    the output projection, both LayerNorms and the FFN weights; see
+    ``plan._compile_transformer``.  ``blocked`` marks the disallowed
+    (query, key) pairs; ``prefix``, a cached ``(keys, values)`` pair, is
+    prepended along the key axis.  Returns ``(x', k, v)`` with the
+    per-head keys/values ``(B, H, L_k, hd)`` the queries attended to.
     """
     batch, length, dim = x.shape
     head_dim = dim // num_heads
-    normed = layer_norm(x, params["ln1_g"], params["ln1_b"], params["eps"])
-    qkv = normed @ params["w_qkv"]
-    qkv += params["b_qkv"]
-    qkv = qkv.reshape(batch, length, 3, num_heads, head_dim)
+    normed = layer_norm(x, params["ln1_g"], params["ln1_b"], params["eps"])[0]
+    qkv = linear(normed, params["w_qkv"], params["b_qkv"])
     # (3, B, H, L, hd) — one transpose serves q, k and v.
-    qkv = qkv.transpose(2, 0, 3, 1, 4)
-    context = attention(qkv[0], qkv[1], qkv[2], attn_mask4,
-                        1.0 / np.sqrt(head_dim))
+    q, k, v = qkv.reshape(batch, length, 3, num_heads, head_dim).transpose(
+        2, 0, 3, 1, 4)
+    if prefix:
+        k = np.concatenate([prefix[0], k], axis=2)
+        v = np.concatenate([prefix[1], v], axis=2)
+    context = attention_weights(q, k, 1.0 / np.sqrt(head_dim), blocked) @ v
     merged = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(
         batch, length, dim)
     x = x + linear(merged, params["w_out"], params["b_out"])
-    normed = layer_norm(x, params["ln2_g"], params["ln2_b"], params["eps"])
-    hidden = linear(normed, params["w_fc1"], params["b_fc1"])
-    hidden = params["activation"](hidden)
+    normed = layer_norm(x, params["ln2_g"], params["ln2_b"], params["eps"])[0]
+    hidden = params["activation"](
+        linear(normed, params["w_fc1"], params["b_fc1"]))
     x += linear(hidden, params["w_fc2"], params["b_fc2"])
-    return x
+    return x, k, v
 
 
 def transformer_encoder(x: np.ndarray, attn_mask4: np.ndarray,
                         layers: list, num_heads: int, final_g: np.ndarray,
                         final_b: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+    blocked = ~attn_mask4
     for params in layers:
-        x = transformer_layer(x, params, attn_mask4, num_heads)
-    return layer_norm(x, final_g, final_b, eps)
-
-
-def transformer_layer_kv(x: np.ndarray, params: dict,
-                         attn_mask4: np.ndarray, num_heads: int):
-    """:func:`transformer_layer` that also returns the layer's K/V.
-
-    Identical arithmetic (the attention consumes the same strided
-    ``qkv`` views, so the block output is bitwise-equal); the per-head
-    key/value tensors ``(B, H, L, hd)`` come back as contiguous copies
-    for the serving layer's per-user KV-prefix cache.
-    """
-    batch, length, dim = x.shape
-    head_dim = dim // num_heads
-    normed = layer_norm(x, params["ln1_g"], params["ln1_b"], params["eps"])
-    qkv = normed @ params["w_qkv"]
-    qkv += params["b_qkv"]
-    qkv = qkv.reshape(batch, length, 3, num_heads, head_dim)
-    qkv = qkv.transpose(2, 0, 3, 1, 4)
-    context = attention(qkv[0], qkv[1], qkv[2], attn_mask4,
-                        1.0 / np.sqrt(head_dim))
-    k = np.ascontiguousarray(qkv[1])
-    v = np.ascontiguousarray(qkv[2])
-    merged = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(
-        batch, length, dim)
-    x = x + linear(merged, params["w_out"], params["b_out"])
-    normed = layer_norm(x, params["ln2_g"], params["ln2_b"], params["eps"])
-    hidden = linear(normed, params["w_fc1"], params["b_fc1"])
-    hidden = params["activation"](hidden)
-    x += linear(hidden, params["w_fc2"], params["b_fc2"])
-    return x, k, v
+        # Index, not unpack: names holding the k/v views would keep the
+        # layer's whole qkv buffer alive through the next layer, which
+        # measurably slows the encode.
+        x = transformer_block(x, params, num_heads, blocked)[0]
+    return layer_norm(x, final_g, final_b, eps)[0]
 
 
 def transformer_encoder_kv(x: np.ndarray, attn_mask4: np.ndarray,
@@ -194,14 +118,17 @@ def transformer_encoder_kv(x: np.ndarray, attn_mask4: np.ndarray,
     """:func:`transformer_encoder` that also returns per-layer K/V.
 
     ``(hidden, k_0, v_0, k_1, v_1, ...)`` where ``k_i``/``v_i`` are
-    layer ``i``'s ``(B, H, L, hd)`` key/value tensors.  The hidden
-    states are bitwise-equal to :func:`transformer_encoder`'s.
+    contiguous copies of layer ``i``'s ``(B, H, L, hd)`` keys/values,
+    for the serving layer's per-user KV-prefix cache.
     """
+    blocked = ~attn_mask4
     kv = []
     for params in layers:
-        x, k, v = transformer_layer_kv(x, params, attn_mask4, num_heads)
+        x, k, v = transformer_block(x, params, num_heads, blocked)
+        # Rebinding drops the views, as in transformer_encoder.
+        k, v = np.ascontiguousarray(k), np.ascontiguousarray(v)
         kv += [k, v]
-    return (layer_norm(x, final_g, final_b, eps), *kv)
+    return (layer_norm(x, final_g, final_b, eps)[0], *kv)
 
 
 def transformer_step_kv(x: np.ndarray, lengths: np.ndarray, *kv: np.ndarray,
@@ -212,39 +139,21 @@ def transformer_step_kv(x: np.ndarray, lengths: np.ndarray, *kv: np.ndarray,
     ``x`` is the new token's input embedding ``(B, 1, d)`` (item row +
     position); ``kv`` holds each layer's prefix keys/values
     ``k_0, v_0, k_1, v_1, ...`` as ``(B, H, W, hd)``, whose *last*
-    ``lengths[0]`` columns are valid (a tight encode left-pads).  Per
-    layer: project the token's q/k/v, append the new key/value column to
-    the valid prefix, and attend the single query against it — no mask
-    is needed because causal attention over (prefix + self) is every
-    key.  Returns ``(rep, k_0', v_0', ...)`` with ``rep`` the
+    ``lengths[0]`` columns are valid (a tight encode left-pads).  Each
+    layer attends the token's query against its valid prefix plus the
+    token itself — no mask, since causal attention over (prefix + self)
+    is every key.  Returns ``(rep, k_0', v_0', ...)`` with ``rep`` the
     final-LayerNormed token representation ``(B, d)``.
     """
-    batch, length, dim = x.shape
-    head_dim = dim // num_heads
     t = int(lengths[0])
     grown = []
     for index, params in enumerate(layers):
-        k_prev, v_prev = kv[2 * index], kv[2 * index + 1]
-        width = k_prev.shape[2]
-        normed = layer_norm(x, params["ln1_g"], params["ln1_b"],
-                            params["eps"])
-        qkv = normed @ params["w_qkv"]
-        qkv += params["b_qkv"]
-        qkv = qkv.reshape(batch, length, 3, num_heads, head_dim)
-        qkv = qkv.transpose(2, 0, 3, 1, 4)
-        k = np.concatenate([k_prev[:, :, width - t:, :], qkv[1]], axis=2)
-        v = np.concatenate([v_prev[:, :, width - t:, :], qkv[2]], axis=2)
+        width = kv[2 * index].shape[2]
+        prefix = (kv[2 * index][:, :, width - t:],
+                  kv[2 * index + 1][:, :, width - t:])
+        x, k, v = transformer_block(x, params, num_heads, prefix=prefix)
         grown += [k, v]
-        context = attention(qkv[0], k, v, None, 1.0 / np.sqrt(head_dim))
-        merged = np.ascontiguousarray(context.transpose(0, 2, 1, 3)
-                                      ).reshape(batch, length, dim)
-        x = x + linear(merged, params["w_out"], params["b_out"])
-        normed = layer_norm(x, params["ln2_g"], params["ln2_b"],
-                            params["eps"])
-        hidden = linear(normed, params["w_fc1"], params["b_fc1"])
-        hidden = params["activation"](hidden)
-        x += linear(hidden, params["w_fc2"], params["b_fc2"])
-    rep = layer_norm(x, final_g, final_b, eps)[:, -1, :]
+    rep = layer_norm(x, final_g, final_b, eps)[0][:, -1, :]
     return (rep, *grown)
 
 
@@ -255,11 +164,8 @@ def transformer_step_kv(x: np.ndarray, lengths: np.ndarray, *kv: np.ndarray,
 def gru_forward(x: np.ndarray, step_mask: Optional[np.ndarray] = None, *,
                 w_ih: np.ndarray, w_hh: np.ndarray, b_ih: np.ndarray,
                 b_hh: np.ndarray) -> np.ndarray:
-    """Full GRU recurrence, mirroring ``gru_sequence``'s forward loop.
-
-    The input projection runs as one big matmul; each step is one
-    ``h @ w_hh`` plus in-place gate math with the sigmoid computed via
-    the tanh identity — bit-for-bit the training kernel's arithmetic.
+    """Full GRU recurrence: ``gru_sequence``'s forward loop over the
+    shared :func:`repro.nn.kernels.gru_step`.
 
     ``step_mask`` (bool ``(B, L)``) enables *padding-free* stepping: the
     hidden state only updates where the mask is True, so a left-padded
@@ -270,43 +176,16 @@ def gru_forward(x: np.ndarray, step_mask: Optional[np.ndarray] = None, *,
     batch, length, in_dim = x.shape
     hidden = w_hh.shape[0]
     x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
-    gi = x_tm.reshape(length * batch, in_dim) @ w_ih
-    gi += b_ih
-    gi = gi.reshape(length, batch, 3 * hidden)
-    h = np.zeros((batch, hidden), dtype=np.float64)
-    out = np.empty((length, batch, hidden), dtype=np.float64)
+    gi = linear(x_tm.reshape(length * batch, in_dim), w_ih, b_ih).reshape(
+        length, batch, 3 * hidden)
+    out = np.empty((length, batch, hidden), dtype=gi.dtype)
+    h = np.zeros((batch, hidden), dtype=gi.dtype)
     for t in range(length):
-        h_new = gru_step(gi[t], h, w_hh, b_hh, hidden)
+        h_new = gru_step(gi[t], h, w_hh, b_hh, out=out[t])
         if step_mask is not None:
-            h = np.where(step_mask[:, t][:, None], h_new, h)
-        else:
-            h = h_new
-        out[t] = h
+            np.copyto(h_new, h, where=~step_mask[:, t, None])
+        h = h_new
     return np.ascontiguousarray(out.transpose(1, 0, 2))
-
-
-def gru_step(gi: np.ndarray, h: np.ndarray, w_hh: np.ndarray,
-             b_hh: np.ndarray, hidden: int) -> np.ndarray:
-    """One GRU step from a precomputed input projection ``gi = x W_ih + b_ih``.
-
-    Gate order (z, r, n) and arithmetic match ``gru_sequence`` exactly.
-    """
-    gh = h @ w_hh
-    gh += b_hh
-    zr = gi[:, :2 * hidden] + gh[:, :2 * hidden]
-    zr *= 0.5
-    np.tanh(zr, out=zr)
-    zr += 1.0
-    zr *= 0.5
-    z, r = zr[:, :hidden], zr[:, hidden:]
-    n = gh[:, 2 * hidden:]
-    n *= r
-    n += gi[:, 2 * hidden:]
-    np.tanh(n, out=n)
-    h_new = h - n
-    h_new *= z
-    h_new += n
-    return h_new
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@
 forward pass is a set of step programs (:mod:`repro.serve.program`)
 holding the live weight arrays.  ``encode`` / ``score`` / ``forward``
 and the incremental-serving methods each run one program through the
-pure-NumPy kernels of :mod:`repro.serve.executors` — no autograd
-``Tensor`` construction — and ``freeze`` abstract-interprets the very
-same programs (:mod:`repro.analysis.dataflow`).  Per-model compilers
+pure-NumPy kernels of :mod:`repro.nn.kernels` and
+:mod:`repro.serve.executors` — no autograd ``Tensor`` construction —
+and ``freeze`` abstract-interprets the very same programs (:mod:`repro.analysis.dataflow`).  Per-model compilers
 cover SASRec, GRU4Rec, BERT4Rec, NARM, STAMP and Caser plus SSDRec's
 denoise-then-encode pipeline; anything else falls back to
 :class:`FallbackPlan`, which wraps the model's own ``forward_batch``
@@ -399,8 +399,7 @@ class GRU4RecPlan(FrozenPlan):
             append += [step("linear", [below], ["gi"], weight=gru["w_ih"],
                             bias=gru["b_ih"]),
                        step("gru_step", ["gi", final], [final],
-                            w_hh=gru["w_hh"], b_hh=gru["b_hh"],
-                            hidden=gru["w_hh"].shape[0])]
+                            w_hh=gru["w_hh"], b_hh=gru["b_hh"])]
             current, below = hidden, final
         for program in (encode, tight):
             program += [step("last_state", [current, "mask"], ["last"]),

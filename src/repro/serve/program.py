@@ -16,17 +16,20 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..nn import kernels as K
 from . import executors as X
 
 #: op name -> kernel.  Every op here has a transfer function in
 #: :data:`repro.analysis.signatures.SIGNATURES` and vice versa (the ANN
 #: pseudo-ops are verifier-only: the search itself lives in
-#: :mod:`repro.serve.ann`).
+#: :mod:`repro.serve.ann`).  Ops training shares run the training
+#: forward itself (:mod:`repro.nn.kernels`).
 OPS = {
+    **{name: getattr(K, name) for name in (
+        "sigmoid", "linear", "masked_softmax", "gru_step")},
     **{name: getattr(X, name) for name in (
-        "sigmoid", "relu", "linear", "masked_softmax",
-        "transformer_encoder", "transformer_encoder_kv",
-        "transformer_step_kv", "gru_forward", "gru_step", "last_state",
+        "relu", "transformer_encoder", "transformer_encoder_kv",
+        "transformer_step_kv", "gru_forward", "last_state",
         "masked_mean", "standardize", "conv1d_relu_pool", "embed",
         "add_positions", "add_tight_positions", "add_position_at",
         "advance_length", "count_valid", "causal_attn_mask",

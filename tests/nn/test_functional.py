@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor
+from repro.nn import Dropout, MultiHeadAttention, Tensor
 from repro.nn import functional as F
 
 RNG = np.random.default_rng(1)
@@ -121,6 +121,22 @@ class TestDropout:
     def test_invalid_p_raises(self):
         with pytest.raises(ValueError):
             F.dropout(Tensor(np.ones(3)), 1.0, training=True)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_negative_p_raises(self, training):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            F.dropout(Tensor(np.ones(3)), -0.5, training=training)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
+    def test_layer_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            Dropout(p)
+
+    def test_attention_rejects_certain_drop(self):
+        """Attention draws its own dropout mask from ``Dropout.p``; p = 1
+        would divide by zero there, so the layer refuses it up front."""
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            MultiHeadAttention(8, num_heads=2, dropout=1.0)
 
 
 class TestActivations:

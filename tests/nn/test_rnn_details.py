@@ -3,33 +3,37 @@
 import numpy as np
 import pytest
 
-from repro.nn import GRU, GRUCell, LSTM, LSTMCell, Tensor
+from repro.nn import GRU, GRUCell, LSTM, Tensor
 
 RNG = np.random.default_rng(91)
 
 
 class TestLSTMCell:
+    """``LSTMCell`` holds an ``LSTM``'s gate weights; the recurrence
+    itself is ``lstm_sequence``, so step properties are checked there."""
+
     def test_forget_gate_bias_initialized_to_one(self):
-        cell = LSTMCell(4, 6, rng=np.random.default_rng(0))
+        cell = LSTM(4, 6, rng=np.random.default_rng(0)).cell
         d = cell.hidden_dim
         np.testing.assert_allclose(cell.bias.data[d:2 * d], 1.0)
         np.testing.assert_allclose(cell.bias.data[:d], 0.0)
 
     def test_state_shapes(self):
-        cell = LSTMCell(4, 6, rng=np.random.default_rng(0))
-        h = Tensor(np.zeros((3, 6)))
-        c = Tensor(np.zeros((3, 6)))
-        h2, c2 = cell(Tensor(RNG.normal(size=(3, 4))), (h, c))
+        lstm = LSTM(4, 6, rng=np.random.default_rng(0))
+        state = (Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))))
+        out, (h2, c2) = lstm(Tensor(RNG.normal(size=(3, 2, 4))), state)
+        assert out.shape == (3, 2, 6)
         assert h2.shape == c2.shape == (3, 6)
 
     def test_cell_state_bounded_by_gates(self):
         """With zero input and zero state, output stays at zero."""
-        cell = LSTMCell(4, 6, rng=np.random.default_rng(0))
-        cell.bias.data[:] = 0.0
+        lstm = LSTM(4, 6, rng=np.random.default_rng(0))
+        lstm.cell.bias.data[:] = 0.0
         zeros = Tensor(np.zeros((2, 6)))
-        h, c = cell(Tensor(np.zeros((2, 4))), (zeros, zeros))
+        out, (h, c) = lstm(Tensor(np.zeros((2, 3, 4))), (zeros, zeros))
         np.testing.assert_allclose(c.data, 0.0, atol=1e-12)
         np.testing.assert_allclose(h.data, 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 class TestGRUCell:

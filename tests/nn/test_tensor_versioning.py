@@ -1,9 +1,8 @@
 """Tests for Tensor storage version counters (sanitizer substrate).
 
 PyTorch-style semantics: every in-place mutation bumps a counter shared
-by all tensors aliasing the same storage (detached views, basic slices,
-``narrow``), while true copies (``clone``, graph-node outputs) start a
-fresh counter.
+by all tensors aliasing the same storage (detached views, basic slices),
+while true copies (``clone``, graph-node outputs) start a fresh counter.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 from repro.nn import Adam, SGD, Tensor
 from repro.nn.layers import Embedding
 from repro.nn.module import Parameter
-from repro.nn.rnn import narrow
 
 
 class TestVersionBumps:
@@ -84,9 +82,9 @@ class TestAliasing:
         t.fill_(0.0)
         assert rows.version == 0
 
-    def test_narrow_shares_counter(self):
+    def test_column_slice_shares_counter(self):
         t = Tensor(np.ones((3, 6)), requires_grad=True)
-        cols = narrow(t, 1, 4)
+        cols = t[:, 1:4]
         assert np.shares_memory(cols.data, t.data)
         t.add_(1.0)
         assert cols.version == 1

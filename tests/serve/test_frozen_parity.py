@@ -1,4 +1,11 @@
-"""Frozen-plan vs training-graph forward parity (<= 1e-6, every model)."""
+"""Frozen-plan vs training-graph forward parity (bitwise, every model).
+
+Every op both paths run has one forward, :mod:`repro.nn.kernels`, so a
+frozen plan's sequence representations equal the graph's by
+construction; the scores are exact too at this catalog size (see the
+parity notes in :mod:`repro.serve.executors`).  The identity tests below
+fail if a serving copy of a shared op is forked again.
+"""
 
 import numpy as np
 import pytest
@@ -7,13 +14,13 @@ from repro.core import SSDRec, SSDRecConfig
 from repro.data import generate
 from repro.data.batching import pad_sequences
 from repro.models import BACKBONES, GRU4Rec, SASRec, SRGNN
-from repro.nn import Module, Tensor, no_grad
-from repro.serve import FallbackPlan, freeze
+from repro.nn import Module, Tensor, kernels, no_grad
+from repro.serve import FallbackPlan, executors, freeze
+from repro.serve.program import OPS
 
 DIM = 16
 MAX_LEN = 12
 NUM_ITEMS = 60
-TOL = 1e-6
 
 
 def random_batch(rng, rows=7, num_items=NUM_ITEMS, max_len=MAX_LEN):
@@ -34,7 +41,19 @@ def assert_forward_parity(model, items, mask, users=None):
             graph = model.forward(items, mask).data
     frozen = (plan.forward(items, mask, users) if users is not None
               else plan.forward(items, mask))
-    np.testing.assert_allclose(frozen, graph, atol=TOL, rtol=0)
+    np.testing.assert_array_equal(frozen, graph)
+
+
+@pytest.mark.parametrize("name", ["sigmoid", "linear", "masked_softmax",
+                                  "gru_step"])
+def test_shared_op_is_the_training_kernel(name):
+    assert OPS[name] is getattr(kernels, name)
+
+
+@pytest.mark.parametrize("name", ["linear", "layer_norm", "attention_weights",
+                                  "gru_step"])
+def test_composite_executors_call_the_training_kernel(name):
+    assert getattr(executors, name) is getattr(kernels, name)
 
 
 @pytest.mark.parametrize("name", sorted(BACKBONES))
