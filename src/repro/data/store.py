@@ -264,9 +264,9 @@ class InteractionStore:
     """Read view over a published store (mmap-backed ``SequenceView``).
 
     Column attributes (``indptr``, ``items``, ``timestamps``,
-    ``noise_flags``) are ``np.memmap`` instances — slice them, never
-    copy them whole (the ``bounded-memory`` lint rule enforces this for
-    streaming-path modules).
+    ``noise_flags``) are plain ``np.ndarray`` views of read-only memory
+    maps — slice them, never copy them whole (the ``bounded-memory``
+    lint rule enforces this for streaming-path modules).
     """
 
     #: Events stay on disk, so the loader shuffles in bounded windows.
@@ -407,7 +407,10 @@ def open_store(path: Path, verify: bool = True) -> InteractionStore:
             raise StoreIntegrityError(
                 f"{path}: column {column!r} has {mm.shape[0]} elements, "
                 f"manifest says {spec['count']}")
-        columns[column] = mm
+        # A plain ndarray view of the map: zero-copy and still
+        # file-backed, but slicing it skips np.memmap's per-slice
+        # Python __array_finalize__.
+        columns[column] = mm.view(np.ndarray)
     num_users = int(manifest["num_users"])
     num_events = int(manifest["num_events"])
     indptr = columns["indptr"]

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .tensor import Tensor, ensure_tensor
+from .tensor import Tensor, consuming, ensure_tensor
 from .rng import resolve_rng
 
 
@@ -118,20 +118,24 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
         raise ValueError(f"expected 2-D logits, got shape {logits.shape}")
     n = logits.shape[0]
     rows = np.arange(n)
+    # One (N, C) buffer: the shifted logits, exponentiated in place, then
+    # turned into the gradient in place by the (run-once) backward.
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
+    picked = shifted[rows, targets]
+    exp = np.exp(shifted, out=shifted)
     sumexp = exp.sum(axis=-1, keepdims=True)
-    logp_target = shifted[rows, targets] - np.log(sumexp[:, 0])
+    logp_target = picked - np.log(sumexp[:, 0])
     if ignore_index is not None:
         weights = (targets != ignore_index).astype(np.float64)
         weights /= max(weights.sum(), 1.0)
     else:
         weights = np.full(n, 1.0 / n, dtype=np.float64)
     out_data = np.asarray(-(logp_target * weights).sum())
-    probs = exp / sumexp
 
+    @consuming
     def backward(grad):
-        g = probs.copy()
+        g = exp
+        g /= sumexp                                   # softmax
         g[rows, targets] -= 1.0
         g *= weights[:, None]
         g *= grad

@@ -91,37 +91,77 @@ def attention_weights(q: np.ndarray, k: np.ndarray, scale: float,
 
 
 def gru_step(gi: np.ndarray, h: np.ndarray, w_hh: np.ndarray,
-             b_hh: np.ndarray, zr: Optional[np.ndarray] = None,
-             n: Optional[np.ndarray] = None,
-             gh_n: Optional[np.ndarray] = None,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
+             b_hh: np.ndarray, out: Optional[np.ndarray] = None,
+             overwrite_gi: bool = False) -> np.ndarray:
     """One GRU step from the input projection ``gi = x W_ih + b_ih``.
 
     Gates are update (z), reset (r), candidate (n); the sigmoid is the
-    exact identity ``0.5 * (1 + tanh(x / 2))``.  The step writes ``[z,
-    r]`` into ``zr`` ``(B, 2d)``, the candidate into ``n`` ``(B, d)``,
-    its recurrent term ``h W_hn + b_hn`` into ``gh_n`` ``(B, d)`` and
-    the new state into ``out`` ``(B, d)``: training passes views of its
-    per-step residual buffers, and a buffer left ``None`` is allocated
-    (``gh_n`` is then read in place).  Returns the new state.
+    exact identity ``0.5 * (1 + tanh(x / 2))``.  Arguments are ``(B, .)``
+    arrays of any strides, and the step computes on their transposes:
+    the recurrent term ``W_hhᵀ hᵀ + b_hh`` is ``(3d, B)``, so each gate
+    is a block of rows.  A caller that keeps its state and gates as rows
+    (:func:`gru_unroll`) passes ``.T`` views, and every gate op then runs
+    over contiguous rows; a ``(B, d)`` caller (the plan's ``gru_step``
+    step) gets the same values.
+
+    The new state goes to ``out`` ``(B, d)``, allocated when ``None``,
+    and is returned.  With ``overwrite_gi`` the step writes ``[z, r, n]``
+    over ``gi``, where training keeps them for its backward.
     """
     d = h.shape[-1]
-    gh = h @ w_hh
-    gh += b_hh
-    zr = np.add(gi[:, :2 * d], gh[:, :2 * d], out=zr)
+    h_t = h.T
+    gh = w_hh.T @ h_t
+    gh += b_hh[:, None]
+    # ``acc`` ends up holding [z, r, n]; ``add`` is the other term of
+    # each pre-activation sum.
+    acc, add = (gi.T, gh) if overwrite_gi else (gh, gi.T)
+    zr = acc[:2 * d]
+    zr += add[:2 * d]
     zr *= 0.5
     np.tanh(zr, out=zr)
     zr += 1.0
     zr *= 0.5
-    z, r = zr[:, :d], zr[:, d:]
-    if gh_n is None:
-        gh_n = gh[:, 2 * d:]
-    else:
-        gh_n[:] = gh[:, 2 * d:]
-    n = np.multiply(r, gh_n, out=n)
-    n += gi[:, 2 * d:]
+    gh[2 * d:] *= zr[d:]                              # r (h W_hn + b_hn)
+    n = acc[2 * d:]
+    n += add[2 * d:]
     np.tanh(n, out=n)
-    out = np.subtract(h, n, out=out)
-    out *= z
-    out += n
-    return out
+    out_t = np.subtract(h_t, n, out=None if out is None else out.T)
+    out_t *= zr[:d]
+    out_t += n
+    return out_t.T
+
+
+def gru_unroll(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray,
+               b_ih: np.ndarray, b_hh: np.ndarray,
+               h0: Optional[np.ndarray] = None,
+               step_mask: Optional[np.ndarray] = None) -> tuple:
+    """The GRU recurrence over ``x`` ``(B, L, in)`` from ``h0`` ``(B, d)``
+    (zeros when ``None``), stepping :func:`gru_step`.
+
+    Returns ``(out, x_tm, acts, hs)``: the ``(B, L, d)`` states, then the
+    residuals ``gru_sequence``'s backward consumes — the time-major
+    input ``x_tm`` ``(L, B, in)``, the gate rows ``acts`` ``(L, 3d, B)``
+    stacked per step as ``[z; r; n]``, and the states ``hs``
+    ``(L+1, d, B)`` entering each step.  The batch is the contiguous
+    last axis, so each step's state and gates are one contiguous block
+    of ``(d, B)`` rows.  ``step_mask`` (bool ``(B, L)``) holds a row's
+    state wherever it is False.
+    """
+    batch, length, in_dim = x.shape
+    d = w_hh.shape[0]
+    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
+    # Every step's input projection lands in the gate rows the step then
+    # overwrites with [z, r, n].
+    acts = np.matmul(w_ih.T, x_tm.transpose(0, 2, 1))
+    acts += b_ih[:, None]
+    hs = np.empty((length + 1, d, batch), dtype=acts.dtype)
+    hs[0] = 0.0 if h0 is None else h0.T
+    # Per-step (B, .)-oriented views for gru_step.
+    hs_b = hs.transpose(0, 2, 1)
+    steps = zip(acts.transpose(0, 2, 1), hs_b[:-1], hs_b[1:])
+    for t, (gates, h, h_new) in enumerate(steps):
+        gru_step(gates, h, w_hh, b_hh, out=h_new, overwrite_gi=True)
+        if step_mask is not None:
+            np.copyto(h_new, h, where=~step_mask[:, t, None])
+    out = np.ascontiguousarray(hs_b[1:].transpose(1, 0, 2))
+    return out, x_tm, acts, hs

@@ -7,8 +7,19 @@ its right-to-left states ``H^R`` the right context.
 Recurrences are *fused*: :func:`lstm_sequence` and :func:`gru_sequence`
 run the whole sequence in NumPy and record a single graph node with a
 hand-written BPTT backward, instead of ~15 elementwise/slice nodes per
-step of the naive composition.  The GRU's per-step forward is
-:func:`repro.nn.kernels.gru_step`, the same function frozen plans run.
+step of the naive composition.  The GRU's forward is
+:func:`repro.nn.kernels.gru_unroll` over :func:`repro.nn.kernels.gru_step`,
+the same functions frozen plans run.
+
+Layout: inside a recurrence the state is transposed, ``(d, B)``, with the
+batch as the contiguous last axis, and the residuals are time-major
+``(L, gates, B)``.  The recurrent matmul ``W_hhᵀ h`` then yields the gates
+as contiguous row blocks, and every per-step elementwise op runs over
+contiguous rows of one cache-resident block.  The backward runs once
+(:func:`repro.nn.tensor.consuming`), so it writes its gate gradients over
+the forward's own activation buffers instead of allocating new ones.  The
+Bi-LSTM runs both directions in one time loop over stacked ``(2, ...)``
+buffers.  Layer inputs and outputs stay ``(B, L, d)``.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ import numpy as np
 
 from . import init, kernels
 from .module import Module, Parameter
-from .tensor import Tensor, ensure_tensor
+from .tensor import Tensor, consuming, ensure_tensor
 
 
 def gru_step(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
@@ -32,15 +43,14 @@ def gru_step(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
     d = hidden_dim
     x, h = ensure_tensor(x), ensure_tensor(h)
     x_data, h_data = x.data, h.data
-    gi = kernels.linear(x_data, w_ih.data, b_ih.data)
-    zr = np.empty((gi.shape[0], 2 * d), dtype=gi.dtype)
-    n = np.empty((gi.shape[0], d), dtype=gi.dtype)
-    gh_n = np.empty((gi.shape[0], d), dtype=gi.dtype)
-    out_data = kernels.gru_step(gi, h_data, w_hh.data, b_hh.data, zr=zr,
-                                n=n, gh_n=gh_n)
-    z, r = zr[:, :d], zr[:, d:]
+    gates = kernels.linear(x_data, w_ih.data, b_ih.data)  # then [z, r, n]
+    out_data = kernels.gru_step(gates, h_data, w_hh.data, b_hh.data,
+                                overwrite_gi=True)
+    z, r, n = gates[:, :d], gates[:, d:2 * d], gates[:, 2 * d:]
 
     def backward(grad):
+        gh_n = kernels.linear(h_data, w_hh.data[:, 2 * d:],
+                              b_hh.data[2 * d:])
         g_z = grad * (h_data - n)
         g_n = grad * (1.0 - z)
         da_n = g_n * (1.0 - n ** 2)
@@ -59,24 +69,36 @@ def gru_step(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
 
 
 def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-                  hidden_dim: int, hc0: Optional[Tensor] = None) -> Tensor:
+                  hidden_dim: int, hc0: Optional[Tensor] = None,
+                  reverse: Optional[Tuple[Tensor, Tensor, Tensor]] = None
+                  ) -> Tensor:
     """The full LSTM recurrence as a *single* graph node.
 
-    The input projection ``x @ w_ih + bias`` for every timestep runs as one
-    ``(B*L, input_dim) @ (input_dim, 4d)`` matmul before the loop, so each
-    step costs one ``h @ w_hh`` matmul plus in-place gate math; backward is
-    hand-written BPTT with the weight gradients accumulated through two big
-    matmuls over the whole sequence.  Compared to one fused node per step
-    this removes the per-step graph bookkeeping *and* halves the per-step
-    matmul count.
+    The input projection of every step runs as one batched matmul before
+    the loop, so each step costs one recurrent matmul plus in-place gate
+    math.  Backward is hand-written BPTT: its gate gradients overwrite
+    the forward's activations, and the weight gradients come from
+    batched matmuls over the whole sequence.
 
     Returns ``(B, L+1, d)``: ``[:, :L]`` are the hidden states, ``[:, L]``
     is the final cell state (slice with basic indexing to read them).
+
+    ``reverse=(w_ih, w_hh, bias)`` adds a right-to-left pass over the
+    same ``x`` (the Bi-LSTM) to the same time loop: the result is then
+    ``(2, B, L+1, d)``, ``[1, :, t]`` being the reverse state at position
+    ``t`` and ``[1, :, L]`` its final cell state.  ``hc0`` is for a
+    single direction only.
     """
     d = hidden_dim
     x = ensure_tensor(x)
     x_data = x.data
     batch, length, in_dim = x_data.shape
+    directions = [(w_ih, w_hh, bias)]
+    if reverse is not None:
+        if hc0 is not None:
+            raise ValueError("an initial state needs a single direction")
+        directions.append(tuple(reverse))
+    k = len(directions)
     # Internally the gate columns are permuted to (i, f, o, g) so the three
     # sigmoids run as ONE contiguous block per step; weight gradients are
     # permuted back before returning.  Sigmoid itself is computed as
@@ -84,33 +106,41 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
     # clip and four ufunc passes instead of ten.
     perm = np.concatenate([np.arange(0, 2 * d), np.arange(3 * d, 4 * d),
                            np.arange(2 * d, 3 * d)])
-    w_ih_p = np.ascontiguousarray(w_ih.data[:, perm])
-    w_hh_p = np.ascontiguousarray(w_hh.data[:, perm])
-    # Time-major (L, B, ...) buffers: every per-step slice below is one
-    # contiguous block, where batch-major views would stride by the whole
-    # sequence width on every row (a large-L cache killer).
-    x_tm = np.ascontiguousarray(x_data.transpose(1, 0, 2))
-    x_tm2 = x_tm.reshape(length * batch, in_dim)
-    xp = x_tm2 @ w_ih_p
-    xp += bias.data[perm]
-    xp = xp.reshape(length, batch, 4 * d)
-    dtype = xp.dtype
-    acts = np.empty((length, batch, 4 * d), dtype=dtype)
-    tanh_cs = np.empty((length, batch, d), dtype=dtype)
+    w_ih_p = np.stack([w.data[:, perm] for w, _, _ in directions])
+    w_hh_p = np.stack([w.data[:, perm] for _, w, _ in directions])
+    bias_p = np.stack([b.data[perm] for _, _, b in directions])[:, :, None]
+    # Time-major buffers with the directions stacked next and the batch as
+    # the contiguous last axis: each step's states and gates are one
+    # contiguous block of (k, d, B) rows.  The reverse pass reads its input
+    # time-reversed, so both directions advance in the same step.
+    x_tm = np.empty((length, k, batch, in_dim), dtype=x_data.dtype)
+    x_tm[:, 0] = x_data.transpose(1, 0, 2)
+    if k == 2:
+        x_tm[:, 1] = x_tm[::-1, 0]
+    # Every step's input projection lands in the gate rows the step then
+    # overwrites with its activations.
+    acts = np.matmul(w_ih_p.transpose(0, 2, 1), x_tm.transpose(0, 1, 3, 2))
+    acts += bias_p
+    dtype = acts.dtype
+    tanh_cs = np.empty((length, k, d, batch), dtype=dtype)
     # hs[t] / cs[t] hold the state *entering* step t.
-    hs = np.empty((length + 1, batch, d), dtype=dtype)
-    cs = np.empty((length + 1, batch, d), dtype=dtype)
+    hs = np.empty((length + 1, k, d, batch), dtype=dtype)
+    cs = np.empty((length + 1, k, d, batch), dtype=dtype)
     if hc0 is not None:
         hc0 = ensure_tensor(hc0)
-        hs[0] = hc0.data[:, :d]
-        cs[0] = hc0.data[:, d:]
+        hs[0, 0] = hc0.data[:, :d].T
+        cs[0, 0] = hc0.data[:, d:].T
     else:
         hs[0] = 0.0
         cs[0] = 0.0
+    w_hh_t = w_hh_p.transpose(0, 2, 1)
+    gates = np.empty((k, 4 * d, batch), dtype=dtype)
+    scratch = np.empty((k, d, batch), dtype=dtype)
+    out = np.empty((k, batch, length + 1, d), dtype=dtype)
     for t in range(length):
-        gates = hs[t] @ w_hh_p
-        gates += xp[t]
+        np.matmul(w_hh_t, hs[t], out=gates)
         a = acts[t]
+        gates += a
         s = a[:, :3 * d]                              # sigmoid(i, f, o)
         np.multiply(gates[:, :3 * d], 0.5, out=s)
         np.tanh(s, out=s)
@@ -121,71 +151,87 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
         o, g = a[:, 2 * d:3 * d], a[:, 3 * d:]
         c_new = cs[t + 1]
         np.multiply(f, cs[t], out=c_new)
-        c_new += i * g
+        np.multiply(i, g, out=scratch)
+        c_new += scratch
         tc = tanh_cs[t]
         np.tanh(c_new, out=tc)
         np.multiply(o, tc, out=hs[t + 1])
-    out = np.empty((batch, length + 1, d), dtype=dtype)
-    out[:, :length] = hs[1:].transpose(1, 0, 2)
-    out[:, length] = cs[length]
+        out[0, :, t] = hs[t + 1, 0].T
+        if k == 2:
+            out[1, :, length - 1 - t] = hs[t + 1, 1].T
+    out[:, :, length] = cs[length].transpose(0, 2, 1)
 
+    @consuming
     def backward(grad):
-        g_hs = np.ascontiguousarray(grad[:, :length].transpose(1, 0, 2))
-        gc = np.array(grad[:, length], dtype=dtype)
-        gh_carry = np.zeros((batch, d), dtype=dtype)
-        da_all = np.empty((length, batch, 4 * d), dtype=dtype)
-        scratch = np.empty((batch, d), dtype=dtype)
+        # The gate gradients overwrite ``acts`` in place, gate by gate,
+        # each once its activation is no longer read.
+        grad = grad.reshape(out.shape)
+        gh = np.zeros((k, d, batch), dtype=dtype)
+        gc = np.ascontiguousarray(grad[:, :, length].transpose(0, 2, 1))
+        gc_next = np.empty_like(gc)
+        carry = np.empty_like(gc)
+        tmp = np.empty_like(gc)
         for t in range(length - 1, -1, -1):
             a = acts[t]
             i, f = a[:, :d], a[:, d:2 * d]
             o, g = a[:, 2 * d:3 * d], a[:, 3 * d:]
             tc = tanh_cs[t]
-            gh = gh_carry
-            gh += g_hs[t]
-            np.multiply(tc, tc, out=scratch)          # dL/dc_t via tanh'
-            np.subtract(1.0, scratch, out=scratch)
-            scratch *= gh
-            scratch *= o
-            gc += scratch
-            da = da_all[t]
-            s = da[:, :3 * d]                         # sigmoid' for i, f, o
-            np.subtract(1.0, a[:, :3 * d], out=s)
-            s *= a[:, :3 * d]
-            s_i, s_f, s_o = da[:, :d], da[:, d:2 * d], da[:, 2 * d:3 * d]
-            s_i *= g                                  # d/d a_i
-            s_i *= gc
-            s_f *= cs[t]                              # d/d a_f
-            s_f *= gc
-            s_o *= gh                                 # d/d a_o
-            s_o *= tc
-            s = da[:, 3 * d:]                         # d/d a_g
-            np.multiply(g, g, out=s)
-            np.subtract(1.0, s, out=s)
-            s *= i
-            s *= gc
-            gh_carry = da @ w_hh_p.T
-            gc *= f                                   # dL/dc_{t-1}
-        da2 = da_all.reshape(length * batch, 4 * d)
-        g_x = np.ascontiguousarray(
-            (da2 @ w_ih_p.T).reshape(length, batch, in_dim).transpose(1, 0, 2))
-        g_wih_p = x_tm2.T @ da2
-        g_whh_p = hs[:length].reshape(length * batch, d).T @ da2
-        g_bias_p = da2.sum(axis=0)
+            gh[0] += grad[0, :, t].T
+            if k == 2:
+                gh[1] += grad[1, :, length - 1 - t].T
+            np.multiply(tc, tc, out=tmp)              # dL/dc_t via tanh'
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= gh
+            tmp *= o
+            gc += tmp
+            np.subtract(1.0, i, out=tmp)              # sigmoid' g for a_i
+            tmp *= i
+            tmp *= g
+            np.multiply(g, g, out=g)                  # d/d a_g
+            np.subtract(1.0, g, out=g)
+            g *= i
+            g *= gc
+            np.multiply(tmp, gc, out=i)               # d/d a_i
+            np.subtract(1.0, f, out=tmp)              # sigmoid' c for a_f
+            tmp *= f
+            tmp *= cs[t]
+            np.multiply(gc, f, out=gc_next)           # dL/dc_{t-1}
+            np.multiply(tmp, gc, out=f)               # d/d a_f
+            np.subtract(1.0, o, out=tmp)              # d/d a_o
+            o *= tmp
+            o *= gh
+            o *= tc
+            np.matmul(w_hh_p, a, out=carry)           # dL/dh_{t-1}
+            gh, carry = carry, gh
+            gc, gc_next = gc_next, gc
+        # Whole-sequence products over the per-step (B, 4d) gate views.
+        da = acts.transpose(0, 1, 3, 2)
+        g_xs = np.matmul(da, w_ih_p.transpose(0, 2, 1))  # (L, k, B, in)
+        g_x_tm = g_xs[:, 0]
+        if k == 2:
+            g_x_tm += g_xs[::-1, 1]
+        g_x = np.ascontiguousarray(g_x_tm.transpose(1, 0, 2))
         # Undo the (i, f, o, g) column permutation on the weight grads.
-        g_wih = np.empty_like(g_wih_p)
-        g_wih[:, perm] = g_wih_p
-        g_whh = np.empty_like(g_whh_p)
-        g_whh[:, perm] = g_whh_p
-        g_bias = np.empty_like(g_bias_p)
-        g_bias[perm] = g_bias_p
-        if hc0 is None:
-            return (g_x, g_wih, g_whh, g_bias)
-        g_hc0 = np.concatenate([gh_carry, gc], axis=1)
-        return (g_x, g_wih, g_whh, g_bias, g_hc0)
+        g_wih = np.empty_like(w_ih_p)
+        g_wih[:, :, perm] = np.matmul(x_tm.transpose(0, 1, 3, 2),
+                                      da).sum(axis=0)
+        g_whh = np.empty_like(w_hh_p)
+        g_whh[:, :, perm] = np.matmul(hs[:length], da).sum(axis=0)
+        g_bias = np.empty((k, 4 * d), dtype=dtype)
+        g_bias[:, perm] = acts.sum(axis=(0, 3))
+        grads = [g_x]
+        for index in range(k):
+            grads += [g_wih[index], g_whh[index], g_bias[index]]
+        if hc0 is not None:
+            grads.append(np.concatenate([gh[0].T, gc[0].T], axis=1))
+        return tuple(grads)
 
-    parents = ((x, w_ih, w_hh, bias) if hc0 is None
-               else (x, w_ih, w_hh, bias, hc0))
-    return Tensor._make(out, parents, backward)
+    parents = [x]
+    for weights in directions:
+        parents += weights
+    if hc0 is not None:
+        parents.append(hc0)
+    return Tensor._make(out if k == 2 else out[0], parents, backward)
 
 
 def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
@@ -194,80 +240,71 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
     """The full GRU recurrence as a single graph node; returns ``(B, L, d)``
     hidden states (``[:, -1]`` is the final state).
 
-    Mirrors :func:`lstm_sequence`: the input projection runs as one big
-    matmul up front, and backward is hand-written BPTT.
+    The forward is :func:`repro.nn.kernels.gru_unroll`, the loop frozen
+    plans run too; backward is hand-written BPTT that writes its gate
+    gradients over the forward's gate rows.
     """
     d = hidden_dim
     x = ensure_tensor(x)
-    x_data = x.data
-    batch, length, in_dim = x_data.shape
+    batch, length, in_dim = x.shape
     w_ih_d, w_hh_d = w_ih.data, w_hh.data
-    # Time-major buffers for contiguous per-step slices (see lstm_sequence).
-    x_tm = np.ascontiguousarray(x_data.transpose(1, 0, 2))
-    x_tm2 = x_tm.reshape(length * batch, in_dim)
-    gi = kernels.linear(x_tm2, w_ih_d, b_ih.data).reshape(length, batch,
-                                                          3 * d)
-    dtype = gi.dtype
-    acts = np.empty((length, batch, 3 * d), dtype=dtype)  # z, r, n
-    gh_ns = np.empty((length, batch, d), dtype=dtype)
-    hs = np.empty((length + 1, batch, d), dtype=dtype)
     if h0 is not None:
         h0 = ensure_tensor(h0)
-        hs[0] = h0.data
-    else:
-        hs[0] = 0.0
-    for t in range(length):
-        kernels.gru_step(gi[t], hs[t], w_hh_d, b_hh.data,
-                         zr=acts[t, :, :2 * d], n=acts[t, :, 2 * d:],
-                         gh_n=gh_ns[t], out=hs[t + 1])
-    out = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
+    out, x_tm, acts, hs = kernels.gru_unroll(
+        x.data, w_ih_d, w_hh_d, b_ih.data, b_hh.data,
+        None if h0 is None else h0.data)
+    dtype = out.dtype
 
+    @consuming
     def backward(grad):
-        grad_tm = np.ascontiguousarray(grad.transpose(1, 0, 2))
-        gh_carry = np.zeros((batch, d), dtype=dtype)
-        d_gi_all = np.empty((length, batch, 3 * d), dtype=dtype)
-        d_gh_all = np.empty((length, batch, 3 * d), dtype=dtype)
+        # Per step, acts[t] = [z; r; n] becomes the input-side gate
+        # gradient [da_z; da_r; da_n] in place; the recurrent side swaps
+        # da_n for da_n r, kept in gh_nr.  The candidate's recurrent term
+        # h W_hn + b_hn is recomputed from the saved state, not stored.
+        w_zr, w_n = w_hh_d[:, :2 * d], w_hh_d[:, 2 * d:]
+        b_n = b_hh.data[2 * d:, None]
+        gh = np.zeros((d, batch), dtype=dtype)
+        carry = np.empty_like(gh)
+        s1 = np.empty_like(gh)
+        s2 = np.empty_like(gh)
+        gh_nr = np.empty((length, d, batch), dtype=dtype)
         for t in range(length - 1, -1, -1):
             a = acts[t]
-            z, r, n = a[:, :d], a[:, d:2 * d], a[:, 2 * d:]
-            gh = gh_carry
-            gh += grad_tm[t]
-            d_gi, d_gh = d_gi_all[t], d_gh_all[t]
-            da_n = d_gi[:, 2 * d:]
-            np.multiply(n, n, out=da_n)               # (1 - n^2) (1 - z) gh
-            np.subtract(1.0, da_n, out=da_n)
-            np.subtract(1.0, z, out=d_gh[:, 2 * d:])  # scratch for (1 - z)
-            da_n *= d_gh[:, 2 * d:]
-            da_n *= gh
-            da_z = d_gi[:, :d]                        # gh (h - n) z (1 - z)
-            np.subtract(hs[t], n, out=da_z)
-            da_z *= gh
-            da_z *= z
-            np.subtract(1.0, z, out=d_gh[:, :d])      # scratch for (1 - z)
-            da_z *= d_gh[:, :d]
-            da_r = d_gi[:, d:2 * d]                   # da_n gh_n r (1 - r)
-            np.subtract(1.0, r, out=da_r)
-            da_r *= r
-            da_r *= gh_ns[t]
-            da_r *= da_n
-            d_gh[:, :d] = da_z
-            d_gh[:, d:2 * d] = da_r
-            np.multiply(da_n, r, out=d_gh[:, 2 * d:])
-            gh_carry = d_gh @ w_hh_d.T
-            gh *= z                                   # carry dL/dh_{t-1}
-            gh_carry += gh
-        d_gi2 = d_gi_all.reshape(length * batch, 3 * d)
-        d_gh2 = d_gh_all.reshape(length * batch, 3 * d)
-        g_x = np.ascontiguousarray(
-            (d_gi2 @ w_ih_d.T).reshape(length, batch, in_dim)
-            .transpose(1, 0, 2))
-        g_wih = x_tm2.T @ d_gi2
-        g_whh = hs[:length].reshape(length * batch, d).T @ d_gh2
-        g_bih = d_gi2.sum(axis=0)
-        g_bhh = d_gh2.sum(axis=0)
-        if h0 is None:
-            return (g_x, g_wih, g_whh, g_bih, g_bhh)
-        return (g_x, g_wih, g_whh, g_bih, g_bhh, gh_carry)
+            z, r, n = a[:d], a[d:2 * d], a[2 * d:]
+            h, gh_n = hs[t], gh_nr[t]
+            np.matmul(w_n.T, h, out=gh_n)
+            gh_n += b_n
+            gh += grad[:, t].T
+            np.subtract(h, n, out=s1)                 # gh (h - n) z
+            s1 *= gh
+            s1 *= z
+            np.subtract(1.0, z, out=s2)
+            np.multiply(n, n, out=n)                  # (1 - n^2) (1 - z) gh
+            np.subtract(1.0, n, out=n)
+            n *= s2
+            n *= gh
+            gh *= z                                   # direct dL/dh_{t-1}
+            np.multiply(s1, s2, out=z)                # da_z
+            np.subtract(1.0, r, out=s2)               # da_n gh_n r (1 - r)
+            s2 *= r
+            s2 *= gh_n
+            np.multiply(n, r, out=gh_n)
+            np.multiply(s2, n, out=r)
+            np.matmul(w_zr, a[:2 * d], out=carry)
+            carry += w_n @ gh_n
+            carry += gh
+            gh, carry = carry, gh
+        d_gi = acts.transpose(0, 2, 1)                # (L, B, 3d) views
+        g_x = np.empty((batch, length, in_dim), dtype=dtype)
+        np.matmul(d_gi, w_ih_d.T, out=g_x.transpose(1, 0, 2))
+        g_wih = np.matmul(x_tm.transpose(0, 2, 1), d_gi).sum(axis=0)
+        d_zr, d_nr = d_gi[:, :, :2 * d], gh_nr.transpose(0, 2, 1)
+        g_whh = np.concatenate([np.matmul(hs[:length], d_zr).sum(axis=0),
+                                np.matmul(hs[:length], d_nr).sum(axis=0)],
+                               axis=1)
+        g_bhh = np.concatenate([d_zr.sum(axis=(0, 1)), d_nr.sum(axis=(0, 1))])
+        grads = (g_x, g_wih, g_whh, d_gi.sum(axis=(0, 1)), g_bhh)
+        return grads if h0 is None else grads + (gh.T,)
 
     parents = ((x, w_ih, w_hh, b_ih, b_hh) if h0 is None
                else (x, w_ih, w_hh, b_ih, b_hh, h0))
@@ -372,11 +409,13 @@ class BiLSTM(Module):
         self.hidden_dim = hidden_dim
 
     def forward(self, x: Tensor) -> Tuple[Tensor, Tensor]:
-        """Return ``(H_L, H_R)``, each of shape (B, L, hidden_dim)."""
+        """Return ``(H_L, H_R)``, each of shape (B, L, hidden_dim).
+
+        Both directions run in one :func:`lstm_sequence` time loop.
+        """
         x = ensure_tensor(x)
-        left, _ = self.forward_lstm(x)
+        fw, bw = self.forward_lstm.cell, self.backward_lstm.cell
+        both = lstm_sequence(x, fw.w_ih, fw.w_hh, fw.bias, self.hidden_dim,
+                             reverse=(bw.w_ih, bw.w_hh, bw.bias))
         length = x.shape[1]
-        reversed_idx = np.arange(length - 1, -1, -1)
-        right_rev, _ = self.backward_lstm(x[:, reversed_idx, :])
-        right = right_rev[:, reversed_idx, :]
-        return left, right
+        return both[0, :, :length], both[1, :, :length]

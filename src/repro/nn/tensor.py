@@ -97,6 +97,29 @@ def ensure_tensor(value: Arrayable) -> "Tensor":
     return Tensor(value)
 
 
+def consuming(backward: Callable) -> Callable:
+    """Mark ``backward`` as consuming its forward's residuals in place.
+
+    :meth:`Tensor.backward` runs each node's closure once and then drops
+    it, so a closure may overwrite the activations its forward saved
+    with its own gradients instead of allocating fresh buffers.  The
+    wrapper turns a second call, whose residuals are gone, into a
+    ``RuntimeError`` instead of silently wrong gradients.
+    """
+    spent = False
+
+    def once(grad):
+        nonlocal spent
+        if spent:
+            raise RuntimeError(
+                f"{backward.__qualname__} already ran: it consumed its "
+                f"saved activations in place")
+        spent = True
+        return backward(grad)
+
+    return once
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` over the dimensions that were added by broadcasting.
 

@@ -4,13 +4,14 @@ Plan step programs run through the op table in
 :mod:`repro.serve.program`: a step calls ``kernel(*inputs, **params)``,
 so env inputs come first and weights/constants are keyword parameters.
 Every op whose forward training also runs — linear, layer norm, masked
-softmax, attention weights, the clipped sigmoid, the GRU cell step —
-lives once in :mod:`repro.nn.kernels`: the table maps those ops straight
-to it, and the composite kernels here (the Transformer encoders, the GRU
-recurrence) call it.  What remains here is glue with no training twin:
-lookups, masks, reshapes, readouts, the SSDRec gate, scoring.  None of
-it builds autograd ``Tensor`` graphs; the ``serve-graph-free`` lint rule
-(``scripts/static_check.py``) enforces that statically.
+softmax, attention weights, the clipped sigmoid, the GRU cell step and
+the GRU recurrence over it — lives once in :mod:`repro.nn.kernels`: the
+table maps those ops straight to it, and the composite kernels here (the
+Transformer encoders, ``gru_forward``) call it.  What remains here is
+glue with no training twin: lookups, masks, reshapes, readouts, the
+SSDRec gate, scoring.  None of it builds autograd ``Tensor`` graphs; the
+``serve-graph-free`` lint rule (``scripts/static_check.py``) enforces
+that statically.
 
 Parity notes
 ------------
@@ -35,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn.kernels import (NEG_INF, attention_weights, gru_step, layer_norm,
-                          linear)
+from ..nn.kernels import (NEG_INF, attention_weights, gru_step, gru_unroll,
+                          layer_norm, linear)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +165,11 @@ def transformer_step_kv(x: np.ndarray, lengths: np.ndarray, *kv: np.ndarray,
 def gru_forward(x: np.ndarray, step_mask: Optional[np.ndarray] = None, *,
                 w_ih: np.ndarray, w_hh: np.ndarray, b_ih: np.ndarray,
                 b_hh: np.ndarray) -> np.ndarray:
-    """Full GRU recurrence: ``gru_sequence``'s forward loop over the
-    shared :func:`repro.nn.kernels.gru_step`.
+    """Full GRU recurrence: ``gru_sequence``'s forward,
+    :func:`repro.nn.kernels.gru_unroll` over the shared
+    :func:`repro.nn.kernels.gru_step`.  Inside the loop the state is
+    held transposed, as ``(d, B)`` rows; ``x`` and the returned states
+    are ``(B, L, d)``.
 
     ``step_mask`` (bool ``(B, L)``) enables *padding-free* stepping: the
     hidden state only updates where the mask is True, so a left-padded
@@ -173,19 +177,7 @@ def gru_forward(x: np.ndarray, step_mask: Optional[np.ndarray] = None, *,
     deliberately diverges from the graph path (which steps through
     padding) and is used only by ``RecommendService(padding="tight")``.
     """
-    batch, length, in_dim = x.shape
-    hidden = w_hh.shape[0]
-    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
-    gi = linear(x_tm.reshape(length * batch, in_dim), w_ih, b_ih).reshape(
-        length, batch, 3 * hidden)
-    out = np.empty((length, batch, hidden), dtype=gi.dtype)
-    h = np.zeros((batch, hidden), dtype=gi.dtype)
-    for t in range(length):
-        h_new = gru_step(gi[t], h, w_hh, b_hh, out=out[t])
-        if step_mask is not None:
-            np.copyto(h_new, h, where=~step_mask[:, t, None])
-        h = h_new
-    return np.ascontiguousarray(out.transpose(1, 0, 2))
+    return gru_unroll(x, w_ih, w_hh, b_ih, b_hh, step_mask=step_mask)[0]
 
 
 # ---------------------------------------------------------------------------

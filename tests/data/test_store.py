@@ -45,6 +45,16 @@ class TestRoundtrip:
         np.testing.assert_array_equal(store.seq_lengths(), ds.seq_lengths())
         assert store.statistics()["actions"] == ds.statistics()["actions"]
 
+    def test_sequence_is_plain_ndarray_view_of_the_map(self, tmp_path):
+        ds = make_dataset([[1, 2, 3], [2, 3], [1]])
+        write_store_from_dataset(ds, tmp_path / "s")
+        store = open_store(tmp_path / "s")
+        seq = store.sequence(1)
+        assert type(seq) is np.ndarray and type(store.items) is np.ndarray
+        assert np.shares_memory(seq, store.items)
+        assert isinstance(store.items.base, np.memmap)
+        assert not store.items.flags.writeable
+
     def test_chunked_write_equals_single_chunk(self, tmp_path):
         ds = generate("ml-100k", seed=2)
         small = write_store_from_dataset(ds, tmp_path / "small",

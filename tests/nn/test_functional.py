@@ -65,6 +65,34 @@ class TestLosses:
         onehot = np.eye(6)[targets]
         np.testing.assert_allclose(logits.grad, (probs - onehot) / 4, atol=1e-8)
 
+    @pytest.mark.parametrize("ignore_index", [None, 0])
+    def test_cross_entropy_matches_closed_form_bitwise(self, ignore_index):
+        """The in-place loss and gradient equal the textbook formula
+        (separate exp / probs / gradient arrays) bit for bit."""
+        data = RNG.normal(size=(9, 7)) * 4
+        targets = RNG.integers(0, 7, size=9)
+        logits = Tensor(data.copy(), requires_grad=True)
+        loss = F.cross_entropy(logits, targets, ignore_index=ignore_index)
+        loss.backward(np.float64(0.75))
+
+        rows = np.arange(9)
+        shifted = data - data.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        sumexp = exp.sum(axis=-1, keepdims=True)
+        logp_target = shifted[rows, targets] - np.log(sumexp[:, 0])
+        if ignore_index is None:
+            weights = np.full(9, 1.0 / 9)
+        else:
+            weights = (targets != ignore_index).astype(np.float64)
+            weights /= max(weights.sum(), 1.0)
+        grad = (exp / sumexp).copy()
+        grad[rows, targets] -= 1.0
+        grad *= weights[:, None]
+        grad *= 0.75
+        np.testing.assert_array_equal(
+            loss.data, np.asarray(-(logp_target * weights).sum()))
+        np.testing.assert_array_equal(logits.grad, grad)
+
     def test_cross_entropy_ignore_index(self):
         logits = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
         targets = np.array([1, 0, 2])

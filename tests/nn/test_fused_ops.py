@@ -9,10 +9,12 @@ the same gradients as the seed's fresh-allocation backward.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (GRU, LSTM, GRUCell, LayerNorm, Tensor, reference,
+from repro.nn import (GRU, LSTM, BiLSTM, GRUCell, LayerNorm, Tensor,
+                      gru_sequence, lstm_sequence, reference,
                       scaled_dot_product_attention)
 from repro.nn import functional as F
 
@@ -252,6 +254,124 @@ class TestFusedVsUnfused:
                                    reference.sparsemax_unfused(t).data,
                                    atol=1e-12)
         np.testing.assert_allclose(fused, unfused, atol=1e-10)
+
+
+class TestRecurrenceAtTrainingShape:
+    """The transposed, in-place recurrences at a realistic shape (B != d,
+    B != 3d, B != 4d), where a layout slip cannot cancel out."""
+
+    BATCH, LENGTH, DIM = 64, 30, 32
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_gru_sequence(self, with_state):
+        b, n, d = self.BATCH, self.LENGTH, self.DIM
+        rng = np.random.default_rng(7)
+        gru = GRU(d, d, rng=np.random.default_rng(8))
+        cell = gru.cell
+        x = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+        h0 = Tensor(rng.normal(size=(b, d)), requires_grad=True)
+        w = Tensor(rng.normal(size=(b, n, d)))
+        leaves = (x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh) + (
+            (h0,) if with_state else ())
+
+        def fused_loss():
+            outs, h = gru(x, h0 if with_state else None)
+            return (outs * w).sum() + h.sum()
+
+        def unfused_loss():
+            h = h0 if with_state else Tensor(np.zeros((b, d)))
+            outs = []
+            for t in range(n):
+                h = reference.gru_step_unfused(
+                    x[:, t, :], h, cell.w_ih, cell.w_hh, cell.b_ih,
+                    cell.b_hh, d)
+                outs.append(h)
+            return (Tensor.stack(outs, axis=1) * w).sum() + h.sum()
+
+        np.testing.assert_allclose(fused_loss().data, unfused_loss().data,
+                                   rtol=1e-12)
+        for got, want in zip(backward_grads(fused_loss, *leaves),
+                             backward_grads(unfused_loss, *leaves)):
+            np.testing.assert_allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_lstm_sequence(self, with_state):
+        b, n, d = self.BATCH, self.LENGTH, self.DIM
+        rng = np.random.default_rng(9)
+        lstm = LSTM(d, d, rng=np.random.default_rng(10))
+        cell = lstm.cell
+        x = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+        h0 = Tensor(rng.normal(size=(b, d)), requires_grad=True)
+        c0 = Tensor(rng.normal(size=(b, d)), requires_grad=True)
+        w = Tensor(rng.normal(size=(b, n, d)))
+        leaves = (x, cell.w_ih, cell.w_hh, cell.bias) + (
+            (h0, c0) if with_state else ())
+
+        def fused_loss():
+            outs, (_, c) = lstm(x, (h0, c0) if with_state else None)
+            return (outs * w).sum() + (c * c).sum()
+
+        def unfused_loss():
+            h = h0 if with_state else Tensor(np.zeros((b, d)))
+            c = c0 if with_state else Tensor(np.zeros((b, d)))
+            outs = []
+            for t in range(n):
+                h, c = reference.lstm_step_unfused(
+                    x[:, t, :], h, c, cell.w_ih, cell.w_hh, cell.bias, d)
+                outs.append(h)
+            return (Tensor.stack(outs, axis=1) * w).sum() + (c * c).sum()
+
+        np.testing.assert_allclose(fused_loss().data, unfused_loss().data,
+                                   rtol=1e-12)
+        for got, want in zip(backward_grads(fused_loss, *leaves),
+                             backward_grads(unfused_loss, *leaves)):
+            np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_bilstm_stacked_loop_equals_two_passes(self):
+        b, n, d = self.BATCH, self.LENGTH, self.DIM
+        rng = np.random.default_rng(11)
+        bilstm = BiLSTM(d, d, rng=np.random.default_rng(12))
+        fw, bw = bilstm.forward_lstm.cell, bilstm.backward_lstm.cell
+        x = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+        w_left = Tensor(rng.normal(size=(b, n, d)))
+        w_right = Tensor(rng.normal(size=(b, n, d)))
+        leaves = (x, fw.w_ih, fw.w_hh, fw.bias, bw.w_ih, bw.w_hh, bw.bias)
+
+        def two_passes():
+            left = lstm_sequence(x, fw.w_ih, fw.w_hh, fw.bias, d)[:, :n]
+            rev = np.arange(n - 1, -1, -1)
+            right = lstm_sequence(x[:, rev], bw.w_ih, bw.w_hh, bw.bias,
+                                  d)[:, :n][:, rev]
+            return left, right
+
+        (left, right), (left2, right2) = bilstm(x), two_passes()
+        np.testing.assert_array_equal(left.data, left2.data)
+        np.testing.assert_array_equal(right.data, right2.data)
+        def loss(pair):
+            return (pair[0] * w_left).sum() + (pair[1] * w_right).sum()
+
+        stacked = backward_grads(lambda: loss(bilstm(x)), *leaves)
+        separate = backward_grads(lambda: loss(two_passes()), *leaves)
+        for got, want in zip(stacked, separate):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("op", ["gru", "lstm", "cross_entropy"])
+    def test_consumed_backward_refuses_a_second_call(self, op):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        if op == "gru":
+            cell = GRU(5, 5, rng=np.random.default_rng(0)).cell
+            out = gru_sequence(x, cell.w_ih, cell.w_hh, cell.b_ih,
+                               cell.b_hh, 5)
+        elif op == "lstm":
+            cell = LSTM(5, 5, rng=np.random.default_rng(0)).cell
+            out = lstm_sequence(x, cell.w_ih, cell.w_hh, cell.bias, 5)
+        else:
+            out = F.cross_entropy(x.reshape(12, 5), rng.integers(0, 5, 12))
+        backward = out._backward
+        backward(np.ones_like(out.data))
+        with pytest.raises(RuntimeError, match="already ran"):
+            backward(np.ones_like(out.data))
 
 
 class TestFiniteDifferenceParity:

@@ -51,7 +51,7 @@ def test_shared_op_is_the_training_kernel(name):
 
 
 @pytest.mark.parametrize("name", ["linear", "layer_norm", "attention_weights",
-                                  "gru_step"])
+                                  "gru_step", "gru_unroll"])
 def test_composite_executors_call_the_training_kernel(name):
     assert getattr(executors, name) is getattr(kernels, name)
 
