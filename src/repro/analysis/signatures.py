@@ -231,21 +231,27 @@ def _check_transformer_layer(x: AbstractValue, layer: dict,
 
 @signature("transformer_encoder")
 def sig_transformer_encoder(ins, params):
-    x, attn_mask = ins
+    """Encoder read out at each sequence's last valid position of the
+    readout ``mask``: ``(x, attn_mask, mask) -> (B, d)``."""
+    x, attn_mask, mask = ins
     _require(x.ndim == 3 and _is_float(x),
              f"transformer_encoder input must be float (B, L, d), got {x}")
     _require(attn_mask.dtype == "bool",
              f"attention mask must be bool, got {attn_mask}")
+    _require(mask.dtype == "bool" and mask.shape == x.shape[:2],
+             f"readout mask {mask} must be bool (B, L) for {x}")
     num_heads = int(params["num_heads"])
     length, d = x.shape[1], x.shape[2]
     _require(attn_mask.ndim == 4,
              f"attention mask must be 4-D (B, H, Lq, Lk), got {attn_mask}")
     scores = ("B", num_heads, length, length)
     broadcast_shapes(attn_mask.shape, scores)
+    _require(len(params["layers"]) > 0,
+             "transformer_encoder needs at least one layer")
     for index, layer in enumerate(params["layers"]):
         _check_transformer_layer(x, layer, num_heads, index)
     _check_final_norm(params, d)
-    return [x]
+    return [AbstractValue((x.shape[0], d), _promote(x.dtype, "float64"))]
 
 
 def _check_final_norm(params: dict, d) -> None:
@@ -258,15 +264,15 @@ def _check_final_norm(params: dict, d) -> None:
 
 @signature("transformer_encoder_kv")
 def sig_transformer_encoder_kv(ins, params):
-    """Encoder that also yields each layer's K and V: ``hidden, k_0,
-    v_0, k_1, v_1, ...``, each ``(B, H, L, hd)``."""
-    x, attn_mask = ins
-    (hidden,) = sig_transformer_encoder(ins, params)
+    """Encoder that also yields each layer's K and V: ``rep, k_0,
+    v_0, k_1, v_1, ...``, each K/V ``(B, H, L, hd)``."""
+    x = ins[0]
+    (rep,) = sig_transformer_encoder(ins, params)
     num_heads = int(params["num_heads"])
     kv = AbstractValue((x.shape[0], num_heads, x.shape[1],
                         x.shape[2] // num_heads),
                        _promote(x.dtype, "float64"))
-    return [hidden] + [kv] * (2 * len(params["layers"]))
+    return [rep] + [kv] * (2 * len(params["layers"]))
 
 
 @signature("transformer_step_kv")

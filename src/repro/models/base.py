@@ -24,7 +24,7 @@ from ..data.batching import Batch
 from ..data.dataset import PAD_ID
 from ..nn import Embedding, Module, Tensor
 from ..nn import functional as F
-from ..nn.kernels import NEG_INF
+from ..nn.kernels import NEG_INF, last_positions
 from ..nn.rng import resolve_rng
 
 
@@ -134,11 +134,7 @@ class SequentialRecommender(Module):
         With left padding the last column is always valid, but this helper
         stays correct for arbitrary masks.
         """
-        mask = np.asarray(mask, dtype=bool)
-        batch = states.shape[0]
-        positions = np.where(
-            mask.any(axis=1), mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1), 0)
-        return states[np.arange(batch), positions, :]
+        return states[np.arange(states.shape[0]), last_positions(mask), :]
 
     @staticmethod
     def masked_mean(states: Tensor, mask: np.ndarray) -> Tensor:

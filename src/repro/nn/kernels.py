@@ -60,6 +60,14 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return out, x_hat, inv_std
 
 
+def last_positions(mask: np.ndarray) -> np.ndarray:
+    """Each row's last valid position in a bool ``(B, L)`` mask, ``0``
+    for a row with none: the readout position of ``last_state``."""
+    mask = np.asarray(mask, dtype=bool)
+    return np.where(mask.any(axis=1),
+                    mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1), 0)
+
+
 def _softmax_(scores: np.ndarray, axis: int) -> np.ndarray:
     """Stable softmax of a freshly allocated array, in place."""
     scores -= scores.max(axis=axis, keepdims=True)

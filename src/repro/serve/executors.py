@@ -24,6 +24,19 @@ Parity notes
   scores too.  :func:`score` multiplies a pinned contiguous ``(d, V)``
   table where training multiplies a transposed view, and BLAS may round
   those two layouts differently at some catalog sizes.)
+* A Transformer encode returns the one representation a plan reads,
+  not the ``(B, L, d)`` hidden state.  Every block but the last runs
+  over all rows.  The last computes LN1 and the fused QKV projection
+  over all rows, since the attended keys (and the KV cache) need every
+  row's K/V, and runs attention, the output projection and residual,
+  LN2, the FFN and the final LayerNorm only at :func:`readout_rows`:
+  the readout row — each sequence's last valid position by
+  ``last_state``'s rule (:func:`repro.nn.kernels.last_positions`),
+  which SSDRec's keep mask may pull before ``L - 1`` — and the row
+  before it.  Two query rows, not one: with a single row NumPy's
+  batched matmul turns into a matrix-vector product that rounds
+  differently from the full encode's matrix product (by ~1e-15); with
+  two every array stays byte-identical to the full-width encode.
 * ``gru_forward(step_mask=...)`` (tight padding) deliberately steps
   only through valid positions, which the graph path does not do.
 * Masked fills use :data:`repro.nn.kernels.NEG_INF`.
@@ -36,8 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn.kernels import (NEG_INF, attention_weights, gru_step, gru_unroll,
-                          layer_norm, linear)
+from ..nn.kernels import (NEG_INF, attention_weights, gru_unroll,
+                          last_positions, layer_norm, linear)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +82,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 def transformer_block(x: np.ndarray, params: dict, num_heads: int,
                       blocked: Optional[np.ndarray] = None,
-                      prefix: tuple = ()) -> tuple:
+                      prefix: tuple = (),
+                      rows: Optional[np.ndarray] = None) -> tuple:
     """One pre-norm Transformer block (MHA + residual, FFN + residual).
 
     ``params`` holds the fused QKV projection (the three input
@@ -77,7 +91,10 @@ def transformer_block(x: np.ndarray, params: dict, num_heads: int,
     the output projection, both LayerNorms and the FFN weights; see
     ``plan._compile_transformer``.  ``blocked`` marks the disallowed
     (query, key) pairs; ``prefix``, a cached ``(keys, values)`` pair, is
-    prepended along the key axis.  Returns ``(x', k, v)`` with the
+    prepended along the key axis.  ``rows`` (int ``(B, R)``) keeps only
+    those query rows of each sequence: every row still yields its keys
+    and values, but attention, the residuals and the FFN run at ``rows``
+    alone and ``x'`` is ``(B, R, d)``.  Returns ``(x', k, v)`` with the
     per-head keys/values ``(B, H, L_k, hd)`` the queries attended to.
     """
     batch, length, dim = x.shape
@@ -90,6 +107,13 @@ def transformer_block(x: np.ndarray, params: dict, num_heads: int,
     if prefix:
         k = np.concatenate([prefix[0], k], axis=2)
         v = np.concatenate([prefix[1], v], axis=2)
+    if rows is not None:
+        picks = rows[:, None, :, None]
+        q = np.take_along_axis(q, picks, axis=2)
+        x = np.take_along_axis(x, rows[:, :, None], axis=1)
+        if blocked is not None and blocked.shape[2] > 1:
+            blocked = np.take_along_axis(blocked, picks, axis=2)
+        length = rows.shape[1]
     context = attention_weights(q, k, 1.0 / np.sqrt(head_dim), blocked) @ v
     merged = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(
         batch, length, dim)
@@ -101,35 +125,54 @@ def transformer_block(x: np.ndarray, params: dict, num_heads: int,
     return x, k, v
 
 
+def readout_rows(mask: np.ndarray) -> np.ndarray:
+    """The last block's query rows ``(B, 2)``: each sequence's readout
+    row (:func:`repro.nn.kernels.last_positions`) and the one before it,
+    clamped at 0; a one-column mask gives its single row."""
+    offsets = np.arange(min(2, mask.shape[1]))[::-1]
+    return np.maximum(last_positions(mask)[:, None] - offsets, 0)
+
+
 def transformer_encoder(x: np.ndarray, attn_mask4: np.ndarray,
-                        layers: list, num_heads: int, final_g: np.ndarray,
-                        final_b: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+                        mask: np.ndarray, layers: list, num_heads: int,
+                        final_g: np.ndarray, final_b: np.ndarray,
+                        eps: float = 1e-8) -> np.ndarray:
+    """The encoder's final-LayerNormed state at each sequence's readout
+    row, ``(B, d)``: all blocks but the last run over every row, the
+    last only at :func:`readout_rows` of ``mask``."""
     blocked = ~attn_mask4
-    for params in layers:
+    for params in layers[:-1]:
         # Index, not unpack: names holding the k/v views would keep the
         # layer's whole qkv buffer alive through the next layer, which
         # measurably slows the encode.
         x = transformer_block(x, params, num_heads, blocked)[0]
-    return layer_norm(x, final_g, final_b, eps)[0]
+    x = transformer_block(x, layers[-1], num_heads, blocked,
+                          rows=readout_rows(mask))[0]
+    return layer_norm(x[:, -1], final_g, final_b, eps)[0]
 
 
 def transformer_encoder_kv(x: np.ndarray, attn_mask4: np.ndarray,
-                           layers: list, num_heads: int, final_g: np.ndarray,
-                           final_b: np.ndarray, eps: float = 1e-8) -> tuple:
+                           mask: np.ndarray, layers: list, num_heads: int,
+                           final_g: np.ndarray, final_b: np.ndarray,
+                           eps: float = 1e-8) -> tuple:
     """:func:`transformer_encoder` that also returns per-layer K/V.
 
-    ``(hidden, k_0, v_0, k_1, v_1, ...)`` where ``k_i``/``v_i`` are
-    contiguous copies of layer ``i``'s ``(B, H, L, hd)`` keys/values,
-    for the serving layer's per-user KV-prefix cache.
+    ``(rep, k_0, v_0, k_1, v_1, ...)`` where ``k_i``/``v_i`` are
+    contiguous copies of layer ``i``'s ``(B, H, L, hd)`` keys/values
+    (the last block's over every row too), for the serving layer's
+    per-user KV-prefix cache.
     """
     blocked = ~attn_mask4
+    last = len(layers) - 1
     kv = []
-    for params in layers:
-        x, k, v = transformer_block(x, params, num_heads, blocked)
+    for index, params in enumerate(layers):
+        x, k, v = transformer_block(
+            x, params, num_heads, blocked,
+            rows=readout_rows(mask) if index == last else None)
         # Rebinding drops the views, as in transformer_encoder.
         k, v = np.ascontiguousarray(k), np.ascontiguousarray(v)
         kv += [k, v]
-    return (layer_norm(x, final_g, final_b, eps)[0], *kv)
+    return (layer_norm(x[:, -1], final_g, final_b, eps)[0], *kv)
 
 
 def transformer_step_kv(x: np.ndarray, lengths: np.ndarray, *kv: np.ndarray,
@@ -186,10 +229,7 @@ def gru_forward(x: np.ndarray, step_mask: Optional[np.ndarray] = None, *,
 
 def last_state(states: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Representation at each row's last valid position (``base.last_state``)."""
-    mask = np.asarray(mask, dtype=bool)
-    positions = np.where(
-        mask.any(axis=1), mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1), 0)
-    return states[np.arange(states.shape[0]), positions, :]
+    return states[np.arange(states.shape[0]), last_positions(mask), :]
 
 
 def masked_mean(states: np.ndarray, mask: np.ndarray) -> np.ndarray:

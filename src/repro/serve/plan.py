@@ -330,18 +330,16 @@ class SASRecPlan(FrozenPlan):
                 step("add_positions", ["states"], ["x"],
                      positions=positions),
                 attn,
-                step("transformer_encoder", ["x", "attn"], ["hidden"],
+                step("transformer_encoder", ["x", "attn", "mask"], ["rep"],
                      **enc),
-                step("last_state", ["hidden", "mask"], ["rep"]),
             ],
             tight=[
                 embed,
                 step("add_tight_positions", ["states", "mask"], ["x"],
                      positions=positions),
                 attn,
-                step("transformer_encoder_kv", ["x", "attn"],
-                     ["hidden", *kv], **enc),
-                step("last_state", ["hidden", "mask"], ["rep"]),
+                step("transformer_encoder_kv", ["x", "attn", "mask"],
+                     ["rep", *kv], **enc),
                 step("count_valid", ["mask"], ["lengths"]),
             ],
             # Raises at the window edge: positions cannot slide, so the
@@ -370,9 +368,8 @@ class BERT4RecPlan(FrozenPlan):
             step("add_positions", ["ext"], ["x"],
                  positions=_snap(model.position_embedding.weight)),
             step("pad_attn_mask", ["ext_mask"], ["attn"]),
-            step("transformer_encoder", ["x", "attn"], ["hidden"],
+            step("transformer_encoder", ["x", "attn", "ext_mask"], ["rep"],
                  **_compile_transformer(model.encoder)),
-            step("take_last", ["hidden"], ["rep"]),
         ]
 
 

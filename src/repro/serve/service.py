@@ -186,7 +186,7 @@ class RecommendService:
     # ------------------------------------------------------------------
     def enqueue(self, user: Optional[int], sequence: Sequence[int]) -> int:
         """Queue one request; returns its index in the next flush."""
-        seq = tuple(int(item) for item in sequence)
+        seq = tuple(map(int, sequence))
         if not seq:
             raise ValueError("cannot recommend from an empty sequence")
         if self.plan.max_len is not None:
@@ -399,9 +399,9 @@ class RecommendService:
 
     def _encode_chunk(self, rows) -> Tuple[np.ndarray, Optional[list]]:
         fault_point("serve.encode")
-        seqs = [list(seq) for _, seq in rows]
         width = self.plan.max_len if self.padding == "model" else None
-        items, mask, _ = pad_sequences(seqs, max_len=width)
+        items, mask, _ = pad_sequences([seq for _, seq in rows],
+                                       max_len=width)
         users = [user for user, _ in rows]
         users_arr = (None if any(user is None for user in users)
                      else np.asarray(users))
@@ -469,9 +469,9 @@ class RecommendService:
 
     def _forward_rows(self, rows) -> np.ndarray:
         fault_point("serve.forward")
-        seqs = [list(seq) for _, seq in rows]
         width = self.plan.max_len if self.padding == "model" else None
-        items, mask, _ = pad_sequences(seqs, max_len=width)
+        items, mask, _ = pad_sequences([seq for _, seq in rows],
+                                       max_len=width)
         users = [user for user, _ in rows]
         users_arr = (None if any(user is None for user in users)
                      else np.asarray(users))

@@ -44,6 +44,30 @@ def assert_forward_parity(model, items, mask, users=None):
     np.testing.assert_array_equal(frozen, graph)
 
 
+def graph_rep(model, items, mask, users=None):
+    """The graph's ``(B, d)`` sequence representation."""
+    model.eval()
+    with no_grad():
+        if not isinstance(model, SSDRec):
+            return model.encode(items, mask).data
+        states, final_mask, *_ = model._pipeline(items, mask, users,
+                                                 training=False)
+        return model.backbone.encode_states(states, final_mask).data
+
+
+def assert_encode_parity(model, items, mask, users=None):
+    """Bitwise representation parity at any batch size, and score
+    parity from two rows up.  A one-row batch scores through a
+    matrix-vector product, which rounds the pinned ``(d, V)`` table and
+    the graph's transposed view differently, so its scores are not
+    compared."""
+    plan = freeze(model)
+    np.testing.assert_array_equal(plan.encode(items, mask, users),
+                                  graph_rep(model, items, mask, users))
+    if len(items) > 1:
+        assert_forward_parity(model, items, mask, users)
+
+
 @pytest.mark.parametrize("name", ["sigmoid", "linear", "masked_softmax",
                                   "gru_step"])
 def test_shared_op_is_the_training_kernel(name):
@@ -51,7 +75,7 @@ def test_shared_op_is_the_training_kernel(name):
 
 
 @pytest.mark.parametrize("name", ["linear", "layer_norm", "attention_weights",
-                                  "gru_step", "gru_unroll"])
+                                  "gru_unroll", "last_positions"])
 def test_composite_executors_call_the_training_kernel(name):
     assert getattr(executors, name) is getattr(kernels, name)
 
@@ -65,6 +89,79 @@ def test_backbone_parity(name):
     plan = freeze(model)
     assert not isinstance(plan, FallbackPlan), name
     assert_forward_parity(model, items, mask)
+
+
+BATCH_SIZES = [1, 2, 7, 64]
+
+
+@pytest.mark.parametrize("rows", BATCH_SIZES)
+@pytest.mark.parametrize("name", ["SASRec", "BERT4Rec"])
+def test_transformer_parity_at_every_batch_shape(name, rows):
+    """The last block runs at two query rows per sequence whatever the
+    batch, so no batch size reaches a matrix-vector product."""
+    model = BACKBONES[name](num_items=NUM_ITEMS, dim=DIM, max_len=MAX_LEN,
+                            rng=np.random.default_rng(3))
+    items, mask = random_batch(np.random.default_rng(20 + rows), rows=rows)
+    assert_encode_parity(model, items, mask)
+
+
+def trailing_pad_batch(rng, rows):
+    """Masks whose last valid column comes before ``L - 1``: row 0 holds
+    one item at column 0, row 1 ends one column early, the rest end
+    anywhere.  The readout row moves off the last column."""
+    ends = rng.integers(0, MAX_LEN - 1, size=rows)
+    ends[:2] = [0, MAX_LEN - 2][:rows]
+    starts = np.array([rng.integers(0, end + 1) for end in ends])
+    starts[0] = 0
+    columns = np.arange(MAX_LEN)
+    mask = (columns >= starts[:, None]) & (columns <= ends[:, None])
+    items = np.where(mask, rng.integers(1, NUM_ITEMS + 1, size=mask.shape),
+                     0)
+    return items, mask
+
+
+@pytest.mark.parametrize("rows", BATCH_SIZES)
+def test_sasrec_parity_when_the_readout_row_is_not_last(rows):
+    model = SASRec(num_items=NUM_ITEMS, dim=DIM, max_len=MAX_LEN,
+                   rng=np.random.default_rng(3))
+    items, mask = trailing_pad_batch(np.random.default_rng(30 + rows), rows)
+    assert not mask[:, -1].any()
+    assert_encode_parity(model, items, mask)
+
+
+@pytest.mark.parametrize("rows", BATCH_SIZES)
+def test_sasrec_tight_state_matches_the_full_width_encode(rows):
+    """Rows that fill the window: the tight program's rep equals the
+    model-padding encode and its K/V equal every row's keys/values of a
+    full-width block-by-block reference."""
+    model = SASRec(num_items=NUM_ITEMS, dim=DIM, max_len=MAX_LEN,
+                   rng=np.random.default_rng(3))
+    plan = freeze(model)
+    rng = np.random.default_rng(40 + rows)
+    items = rng.integers(1, NUM_ITEMS + 1, size=(rows, MAX_LEN))
+    mask = np.ones(items.shape, dtype=bool)
+    rep, state = plan.encode_tight_with_state(items, mask)
+    np.testing.assert_array_equal(rep, plan.encode(items, mask))
+
+    (positions,) = [entry["params"]["positions"]
+                    for entry in plan.programs["encode"]
+                    if entry["op"] == "add_positions"]
+    (enc,) = [entry["params"] for entry in plan.programs["encode"]
+              if entry["op"] == "transformer_encoder"]
+    states = executors.embed(items, plan.item_table)
+    x = executors.add_positions(states, positions)
+    np.testing.assert_array_equal(
+        executors.add_tight_positions(states, mask, positions), x)
+    blocked = ~executors.causal_attn_mask(mask)
+    reference = []
+    for params in enc["layers"]:
+        x, k, v = executors.transformer_block(x, params, enc["num_heads"],
+                                              blocked)
+        reference += [k, v]
+    kv = state[:-2]                     # [k_0, v_0, ..., rep, lengths]
+    assert len(kv) == len(reference)
+    for got, want in zip(kv, reference):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_unregistered_model_gets_fallback_and_matches():
@@ -107,8 +204,8 @@ class TestSSDRecParity:
     def dataset(self):
         return generate("beauty", seed=0, scale=0.25)
 
-    def _batch(self, dataset, rng):
-        users = rng.integers(1, dataset.num_users, size=6)
+    def _batch(self, dataset, rng, rows=6):
+        users = rng.integers(1, dataset.num_users, size=rows)
         seqs = [dataset.sequences[u][:MAX_LEN] or [1] for u in users]
         items, mask, _ = pad_sequences(seqs, max_len=MAX_LEN)
         return items, mask, np.asarray(users)
@@ -120,6 +217,17 @@ class TestSSDRecParity:
                        rng=np.random.default_rng(1))
         items, mask, users = self._batch(dataset, np.random.default_rng(2))
         assert_forward_parity(model, items, mask, users)
+
+    @pytest.mark.parametrize("rows", BATCH_SIZES)
+    def test_sasrec_backbone_at_every_batch_shape(self, dataset, rows):
+        """The keep mask may drop a sequence's last item, so the
+        backbone's readout row can come before ``L - 1``."""
+        model = SSDRec(dataset, backbone_cls=SASRec,
+                       config=SSDRecConfig(dim=DIM, max_len=MAX_LEN),
+                       rng=np.random.default_rng(1))
+        items, mask, users = self._batch(
+            dataset, np.random.default_rng(50 + rows), rows)
+        assert_encode_parity(model, items, mask, users)
 
     @pytest.mark.parametrize("kwargs", [
         dict(use_stage1=False),
