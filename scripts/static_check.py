@@ -106,11 +106,11 @@ def main() -> int:
 
 
 def _plan_footprints() -> dict:
-    """Abstract memory footprints for every registered backbone's plan.
+    """Memory footprints for every registered backbone's plan.
 
-    Built from the dataflow analyzer's abstract interpretation (no
-    forward pass runs); small reference hyperparameters keep this cheap
-    enough for every lint invocation.
+    Measured by running each plan's forward program on probe batches
+    (:func:`repro.analysis.dataflow.memory_footprint`); small reference
+    hyperparameters keep this cheap enough for every lint invocation.
     """
     from repro.analysis.dataflow import default_plan_footprints
     return default_plan_footprints()

@@ -67,9 +67,9 @@ rules:
 ``dtype-discipline``
     Substrate modules (``nn/``, ``serve/``) must allocate arrays with an
     explicit dtype (``np.zeros``/``ones``/``empty``/``full``) and may
-    only pin ``np.float64`` in modules listed in
-    :data:`repro.analysis.signatures.FLOAT64_POLICY` — the visible
-    record of where float64 is intentional.  Silent dtype drift (a
+    only pin ``np.float64`` in modules listed in :data:`FLOAT64_POLICY`
+    (defined in this module) — the visible record of where float64 is
+    intentional.  Silent dtype drift (a
     float32 allocation feeding a float64 kernel, or an undocumented
     float64 pin in a future quantized path) breaks the serving parity
     tolerance without failing any test.
@@ -114,7 +114,51 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from .signatures import FLOAT64_POLICY
+#: Modules (relative to the package root) where explicit ``np.float64``
+#: pins are intentional, with the reason on record.  The
+#: ``dtype-discipline`` lint rule flags float64 pins anywhere else under
+#: ``nn/``/``serve/``; matched site counts per entry are reported into
+#: ``LINT_report.json`` by ``scripts/static_check.py`` and
+#: ``repro.cli lint``.
+FLOAT64_POLICY: Dict[str, str] = {
+    "nn/tensor.py": ("autograd substrate is float64 end to end; Tensor "
+                     "coerces all float data to float64 on construction"),
+    "nn/functional.py": ("fused kernels mirror the float64 substrate; "
+                         "loss weights are float64 probabilities"),
+    "nn/attention.py": ("the attention-dropout multiplier scales the "
+                        "float64 attention weights"),
+    "nn/reference.py": ("parity oracles must accumulate in float64 to "
+                        "serve as the <=1e-6 comparison baseline"),
+    "nn/module.py": ("load_state_dict casts checkpoint payloads to the "
+                     "substrate dtype explicitly"),
+    "nn/layers.py": ("LayerNorm affine parameters are float64 substrate "
+                     "state"),
+    "nn/init.py": "initializers allocate float64 parameter storage",
+    "nn/gumbel.py": ("Gumbel noise is added to float64 logits; sampling "
+                     "in lower precision would bias the soft-top-k"),
+    "nn/kernels.py": ("defines the float64 NEG_INF masking sentinel; the "
+                      "shared kernels themselves allocate from their "
+                      "input dtype"),
+    "serve/executors.py": ("serving glue casts masks and allocates "
+                           "buffers as float64 to match the float64 "
+                           "activations of the training forward"),
+    "serve/plan.py": ("freeze() snapshots weights as float64 so frozen "
+                      "forwards equal the float64 training forward "
+                      "exactly; quantized plans must opt in explicitly"),
+    "serve/service.py": ("error Recommendations carry float64 score "
+                         "arrays to stay wire-compatible with real "
+                         "results"),
+    "serve/cluster.py": ("error Recommendations crossing the worker "
+                         "boundary mirror the service's float64 layout"),
+    "serve/load.py": ("latency accounting is float64 seconds; the plan "
+                      "path reuses the serving float64 contract"),
+    "serve/ann.py": ("the MIPS index packs float64 copies of the frozen "
+                     "item table so candidate scores match the exact "
+                     "float64 oracle bitwise on probed clusters"),
+    "serve/quant.py": ("dequantization reconstructs the float64 serving "
+                       "substrate from int8/fp16 codes; the scale "
+                       "vectors themselves are float64"),
+}
 
 #: Module (relative to the package root) allowed to create unseeded RNGs.
 RNG_ALLOWLIST = {"nn/rng.py"}
@@ -744,7 +788,7 @@ def check_dtype_discipline(project: Project) -> List[Violation]:
                 rule="dtype-discipline", path=project.display_path(rel),
                 line=pin.lineno,
                 message=("explicit float64 pin outside FLOAT64_POLICY "
-                         "(repro.analysis.signatures); add the module "
+                         "(repro.analysis.lint); add the module "
                          "with a reason or drop the pin")))
     return violations
 
@@ -920,9 +964,9 @@ def check_exact_oracle(project: Project) -> List[Violation]:
 def dtype_policy_report(project: Project) -> Dict[str, Dict[str, object]]:
     """Per-module float64-exemption summary for the lint report.
 
-    Every :data:`~repro.analysis.signatures.FLOAT64_POLICY` entry is
-    listed with its reason and the number of float64 sites actually
-    present, so an exemption can never hide by silence.
+    Every :data:`FLOAT64_POLICY` entry is listed with its reason and the
+    number of float64 sites actually present, so an exemption can never
+    hide by silence.
     """
     report: Dict[str, Dict[str, object]] = {}
     for rel, reason in sorted(FLOAT64_POLICY.items()):

@@ -101,6 +101,28 @@ class ANNIndex:
     def cluster_sizes(self) -> np.ndarray:
         return self.offsets[1:] - self.offsets[:-1]
 
+    def validate(self) -> None:
+        """Raise ``ValueError`` unless ``offsets`` is ``(C+1,)``, the
+        packed arrays agree with it, and the centroids are ``(C, d+1)``.
+
+        Search indexes the packed arrays through ``offsets`` and would
+        silently read short or misaligned blocks from a corrupt index.
+        """
+        if self.offsets.shape != (self.num_clusters + 1,):
+            raise ValueError(f"offsets must be ({self.num_clusters + 1},), "
+                             f"got {self.offsets.shape}")
+        rows = int(self.offsets[-1])
+        if not (self.packed_ids.shape[0] == self.packed_table.shape[0]
+                == rows):
+            raise ValueError(
+                f"packed_ids ({self.packed_ids.shape[0]}) and packed_table "
+                f"({self.packed_table.shape[0]} rows) must both hold "
+                f"offsets[-1] = {rows} items")
+        expected = (self.num_clusters, self.dim + 1)
+        if self.centroids.shape != expected:
+            raise ValueError(f"centroids must be {expected}, got "
+                             f"{self.centroids.shape}")
+
     # ------------------------------------------------------------------
     def probe(self, reprs: np.ndarray, nprobe: int) -> np.ndarray:
         """Ids of the ``nprobe`` best-aligned clusters per query row."""

@@ -61,7 +61,7 @@ from ..resilience.faults import (KILL_EXIT_CODE, SERVE_WORKER_SITE,
                                  SWAP_SPOOL_SITE, active_plan, arm_json,
                                  fault_point)
 from .ann import DEFAULT_NPROBE
-from .plan import FrozenPlan, attach_ann_index, check_padding, freeze
+from .plan import check_padding, prepare_plan
 from .quant import QuantizedPlan, quantize_plan
 from .router import Router
 from .service import Recommendation, RecommendService
@@ -98,12 +98,14 @@ def _unwire(payload: tuple) -> Recommendation:
 def _load_service(plan_path: str, config: dict) -> RecommendService:
     """Load the spooled plan and build the shard's service.
 
-    With ``config["verify"]`` (the default) the unpickled plan is
-    abstract-interpreted against its recorded weight shapes *before* the
-    worker reports ready — a corrupted or drifted spool fails the
-    ``_spawn`` handshake with a ``PlanVerificationError`` message naming
-    the step, instead of crashing mid-batch.  The inner service skips
-    re-verification (the spool-load check just ran).
+    With ``config["verify"]`` (the default) the unpickled plan's
+    programs run once on probe batches (and its ANN index, if any, is
+    checked and searched) *before* the worker reports ready — a
+    corrupted or drifted spool fails the ``_handshake`` with a
+    ``PlanVerificationError`` message naming the step, instead of
+    crashing mid-batch.  A quantized spool is verified once, after
+    dequantization.  The inner service skips re-verification (the
+    spool-load check just ran).
     """
     with open(plan_path, "rb") as fh:
         loaded = pickle.load(fh)
@@ -210,7 +212,7 @@ def _worker_entry(shard: int, plan_path: str, config: dict, conn,
 
     The plan arrives as a *path* into the spool directory, the fault
     schedule as a JSON string.  Spool load + verification runs before
-    the ready handshake; a failure answers ``_spawn`` with a ``_FAILED``
+    the ready handshake; a failure answers ``_handshake`` with a ``_FAILED``
     message carrying the structured error text.
     """
     inherited = active_plan()
@@ -219,7 +221,7 @@ def _worker_entry(shard: int, plan_path: str, config: dict, conn,
     arm_json(fault_plan)
     try:
         service = _load_service(plan_path, config)
-    except Exception as exc:  # noqa: BLE001 — report, don't hang _spawn
+    except Exception as exc:  # noqa: BLE001 — report, don't hang _handshake
         try:
             conn.send((_FAILED, shard, f"{type(exc).__name__}: {exc}"))
         except (BrokenPipeError, OSError):
@@ -286,10 +288,10 @@ class ClusterService:
         ``serve.worker.batch`` kill site.  Respawned workers never
         inherit a fault plan.
     verify:
-        Verify the plan's program at freeze time *and* at every worker's
-        spool load (default True): a corrupted spool fails the spawn
-        handshake with the verifier's structured error instead of
-        crashing mid-batch.
+        Verify the plan once before spooling it (after the ANN index is
+        attached) *and* at every worker's spool load (default True): a
+        corrupted spool fails the spawn handshake with the verifier's
+        structured error instead of crashing mid-batch.
     retrieval / nprobe:
         Per-shard retrieval path (see
         :class:`~repro.serve.service.RecommendService`).  With
@@ -314,12 +316,11 @@ class ClusterService:
                  verify: bool = True, retrieval: str = "exact",
                  nprobe: int = DEFAULT_NPROBE,
                  quantize_spool: Optional[str] = None):
-        if isinstance(model_or_plan, FrozenPlan):
-            plan = model_or_plan
-            if verify:
-                plan.verify()
-        else:
-            plan = freeze(model_or_plan, verify=verify)
+        if retrieval not in ("exact", "ann"):
+            raise ValueError(
+                f"retrieval must be 'exact' or 'ann', got {retrieval!r}")
+        plan = prepare_plan(model_or_plan, verify=verify,
+                            ann=retrieval == "ann")
         if not plan.supports_encode:
             raise ValueError(
                 f"{plan.model_name} plan wraps a live model (fallback "
@@ -331,11 +332,6 @@ class ClusterService:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, "
                              f"got {num_workers}")
-        if retrieval not in ("exact", "ann"):
-            raise ValueError(
-                f"retrieval must be 'exact' or 'ann', got {retrieval!r}")
-        if retrieval == "ann" and plan.ann_index is None:
-            attach_ann_index(plan, verify=verify)
         import multiprocessing
 
         if start_method is None:
@@ -367,14 +363,17 @@ class ClusterService:
                            pickle.dumps(payload,
                                         protocol=pickle.HIGHEST_PROTOCOL))
 
+        # Start every worker before awaiting any handshake, so the
+        # workers load and verify the spool in parallel.
         fault_plans = dict(worker_fault_plans or {})
-        self._workers: List[_Worker] = [
-            self._spawn(shard, fault_plans.get(shard))
-            for shard in range(self.num_workers)]
+        started = [self._start(shard, fault_plans.get(shard))
+                   for shard in range(self.num_workers)]
+        self._workers: List[_Worker] = [self._handshake(worker)
+                                        for worker in started]
 
     # ------------------------------------------------------------------
     # lifecycle
-    def _spawn(self, shard: int, fault_plan: Optional[str]) -> _Worker:
+    def _start(self, shard: int, fault_plan: Optional[str]) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_entry,
@@ -383,7 +382,11 @@ class ClusterService:
             daemon=True, name=f"repro-serve-worker-{shard}")
         process.start()
         child_conn.close()
-        worker = _Worker(shard, process, parent_conn)
+        return _Worker(shard, process, parent_conn)
+
+    def _handshake(self, worker: _Worker) -> _Worker:
+        """Wait for a started worker's ready (or failure) message."""
+        shard, parent_conn = worker.shard, worker.conn
         if not parent_conn.poll(self.dispatch_timeout):
             raise RuntimeError(f"worker {shard} did not come up within "
                                f"{self.dispatch_timeout}s")
@@ -405,7 +408,7 @@ class ClusterService:
             old.process.terminate()
         old.process.join(timeout=5.0)
         old.conn.close()
-        fresh = self._spawn(shard, fault_plan=None)
+        fresh = self._handshake(self._start(shard, fault_plan=None))
         self._workers[shard] = fresh
         self.stats.worker_restarts += 1
         return fresh
@@ -445,21 +448,14 @@ class ClusterService:
         """
         if self._closed:
             raise RuntimeError("ClusterService is closed")
-        verify = self._config.get("verify", True)
-        if isinstance(model_or_plan, FrozenPlan):
-            incoming = model_or_plan
-            if verify:
-                incoming.verify()
-        else:
-            incoming = freeze(model_or_plan, verify=verify)
+        incoming = prepare_plan(
+            model_or_plan, verify=self._config.get("verify", True),
+            ann=self._config.get("retrieval") == "ann")
         if not incoming.supports_encode:
             raise ValueError(
                 f"{incoming.model_name} plan wraps a live model "
                 "(fallback path) and cannot cross a process boundary")
         check_padding(incoming, self._config["padding"])
-        if (self._config.get("retrieval") == "ann"
-                and incoming.ann_index is None):
-            attach_ann_index(incoming, verify=verify)
         self._swap_counter += 1
         version = self._swap_counter
         spool_path = os.path.join(self._spool_dir, f"plan-v{version}.pkl")

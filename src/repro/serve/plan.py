@@ -6,7 +6,8 @@ holding the live weight arrays.  ``encode`` / ``score`` / ``forward``
 and the incremental-serving methods each run one program through the
 pure-NumPy kernels of :mod:`repro.nn.kernels` and
 :mod:`repro.serve.executors` — no autograd ``Tensor`` construction —
-and ``freeze`` abstract-interprets the very same programs (:mod:`repro.analysis.dataflow`).  Per-model compilers
+and ``freeze`` verifies by running the very same programs on probe
+batches (:mod:`repro.analysis.dataflow`).  Per-model compilers
 cover SASRec, GRU4Rec, BERT4Rec, NARM, STAMP and Caser plus SSDRec's
 denoise-then-encode pipeline; anything else falls back to
 :class:`FallbackPlan`, which wraps the model's own ``forward_batch``
@@ -161,47 +162,15 @@ class FrozenPlan:
     def _embed(self, source: str = "items", out: str = "states") -> dict:
         return step("embed", [source], [out], table=self.item_table)
 
-    # -- programs --------------------------------------------------------
-    def program(self) -> list:
-        """One ``forward`` as a step list: encode, score, then the ANN
-        index pseudo-ops when an index is attached.
-
-        This is what :mod:`repro.analysis.dataflow` abstract-interprets
-        over a ``(shape, dtype)`` lattice with the batch axis symbolic.
-        """
-        steps = self.programs["encode"] + self.programs["score"]
-        return [dict(entry) for entry in steps] + self._ann_program()
-
-    def _ann_program(self) -> list:
-        """Index pseudo-op steps, present iff an ANN index is attached.
-
-        Verifier-only (the search lives in :mod:`repro.serve.ann`);
-        ``nprobe``/``k`` are nominal serving defaults — the verifier
-        checks index geometry, which is request-independent.
-        """
-        index = self.ann_index
-        if index is None:
-            return []
-        return [
-            step("centroid_scores", ["rep"], ["cluster_scores"],
-                 centroids=index.centroids),
-            step("probe_clusters", ["cluster_scores"], ["probes"],
-                 nprobe=int(min(DEFAULT_NPROBE, index.num_clusters))),
-            step("ann_gather_topk", ["rep", "probes"],
-                 ["ann_items", "ann_scores"],
-                 packed_table=index.packed_table,
-                 packed_ids=index.packed_ids, offsets=index.offsets,
-                 num_clusters=int(index.num_clusters),
-                 k=int(min(10, index.size))),
-        ]
-
     def verify(self):
-        """Abstract-interpret every program against its weights.
+        """Run every program on probe batches (and search the ANN index,
+        if one rides the plan).
 
         Raises :class:`repro.analysis.dataflow.PlanVerificationError`
-        naming the offending step on any shape/dtype mismatch; returns
-        the per-program step traces on success.  Called by ``freeze()``
-        unless ``verify=False``.
+        naming the offending step when a step raises, holds a
+        non-float64 weight, yields non-finite values or batch-dependent
+        non-batch axes; returns the per-program step traces on success.
+        Called by ``freeze()`` unless ``verify=False``.
         """
         from ..analysis.dataflow import verify_plan
         return verify_plan(self)
@@ -677,11 +646,12 @@ def attach_ann_index(plan: FrozenPlan, seed: int = 0,
     """Build a clustered MIPS index over ``plan``'s item table.
 
     The index (:class:`repro.serve.ann.ANNIndex`) rides the plan —
-    through pickles, the cluster spool, everywhere — and extends the
-    plan's symbolic program with index pseudo-ops, so ``verify_plan``
-    abstract-interprets the ANN path at freeze time and again at
-    spool-load re-verification.  Masked columns are excluded from the
-    index.  Deterministic in ``(item_table, seed, num_clusters)``.
+    through pickles, the cluster spool, everywhere — and ``verify_plan``
+    checks its geometry and searches it with probe representations, at
+    freeze time and again at spool-load re-verification.  With
+    ``verify=True`` the whole plan is verified once the index is
+    attached.  Masked columns are excluded from the index.
+    Deterministic in ``(item_table, seed, num_clusters)``.
     """
     if not plan.supports_encode:
         raise ValueError(
@@ -703,16 +673,18 @@ def freeze(model, verify: bool = True, ann: bool = False,
     would silently diverge from the compiled program, so anything not in
     the registry (by exact class name) gets the :class:`FallbackPlan`.
 
-    With ``verify=True`` (the default) the compiled plan's program is
-    abstract-interpreted against the recorded weight shapes/dtypes
-    before it is returned — a drifted weight layout raises a
-    :class:`~repro.analysis.dataflow.PlanVerificationError` here, at
-    compile time, instead of crashing inside a serving worker.
+    With ``verify=True`` (the default) every compiled program runs once
+    on small probe batches before the plan is returned (see
+    :func:`repro.analysis.dataflow.verify_plan`) — a drifted weight
+    layout raises a
+    :class:`~repro.analysis.dataflow.PlanVerificationError` naming the
+    step here, at compile time, instead of crashing inside a serving
+    worker.
 
     ``ann=True`` additionally clusters the item table into an
     approximate-retrieval index (see :func:`attach_ann_index`), seeded
     by ``ann_seed`` with ``ann_clusters`` centroids (default
-    ``~sqrt(V)``).
+    ``~sqrt(V)``); the plan is verified once, with its index.
     """
     if type(model).__name__ == "SSDRec":
         plan = _freeze_ssdrec(model)
@@ -720,9 +692,26 @@ def freeze(model, verify: bool = True, ann: bool = False,
         plan = _compile_backbone(model)
         if plan is None:
             plan = FallbackPlan(model)
-    if verify:
-        plan.verify()
     if ann:
         attach_ann_index(plan, seed=ann_seed, num_clusters=ann_clusters,
-                         verify=verify)
+                         verify=False)
+    if verify:
+        plan.verify()
+    return plan
+
+
+def prepare_plan(model_or_plan, verify: bool = True,
+                 ann: bool = False) -> FrozenPlan:
+    """A servable plan from a model or a plan, verified at most once.
+
+    Freezes a model, attaches a default ANN index when ``ann`` is set
+    and the plan carries none, then verifies the result when ``verify``
+    is set — after the index, so the one verification covers it.
+    """
+    plan = model_or_plan if isinstance(model_or_plan, FrozenPlan) \
+        else freeze(model_or_plan, verify=False)
+    if ann and plan.ann_index is None:
+        attach_ann_index(plan, verify=False)
+    if verify:
+        plan.verify()
     return plan

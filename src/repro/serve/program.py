@@ -5,9 +5,9 @@ dict environment of named values.  ``in`` names the environment values
 a step reads, ``out`` the values it (re)binds, and ``params`` holds the
 live weight arrays and constants.  :func:`execute` runs a program by
 looking every op up in :data:`OPS` and calling
-``kernel(*inputs, **params)``; :mod:`repro.analysis.dataflow` runs the
-*same* steps over the abstract ``(shape, dtype)`` lattice, so the
-verified program is the program that serves.
+``kernel(*inputs, **params)``; :mod:`repro.analysis.dataflow` verifies
+a plan by running the *same* steps through :func:`run_step` on probe
+batches, so the verified program is the program that serves.
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ import numpy as np
 from ..nn import kernels as K
 from . import executors as X
 
-#: op name -> kernel.  Every op here has a transfer function in
-#: :data:`repro.analysis.signatures.SIGNATURES` and vice versa (the ANN
-#: pseudo-ops are verifier-only: the search itself lives in
-#: :mod:`repro.serve.ann`).  Ops training shares run the training
-#: forward itself (:mod:`repro.nn.kernels`).
+#: op name -> kernel.  Ops training shares run the training forward
+#: itself (:mod:`repro.nn.kernels`).
 OPS = {
     **{name: getattr(K, name) for name in (
         "sigmoid", "linear", "masked_softmax", "gru_step")},

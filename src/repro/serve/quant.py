@@ -27,11 +27,12 @@ deterministically from the dequantized table — both halve the payload
 without a second lossy copy that could drift from the table it mirrors.
 
 :func:`dequantize_plan` restores a fully working plan and re-verifies
-it through the dataflow analyzer.  Corrupted records — a scale vector
-whose shape no longer matches its rows, a codes array that lost its
-shape — fail with a :class:`~repro.analysis.dataflow.
-PlanVerificationError` naming the offending weight path, the same
-error surface ``verify_plan`` uses for step mismatches.
+it by probe execution (:mod:`repro.analysis.dataflow`).  Corrupted
+records — a scale vector whose shape no longer matches its rows, a
+codes array that lost its shape — fail with a
+:class:`~repro.analysis.dataflow.PlanVerificationError` naming the
+offending weight path, the same error surface ``verify_plan`` uses for
+step mismatches.
 
 Everything stored on :class:`QuantizedArray` / :class:`QuantizedPlan`
 is primitives + arrays, so quantized plans ride the cluster spool under
@@ -184,14 +185,15 @@ class QuantizedPlan:
             holder.table_t = np.ascontiguousarray(holder.item_table.T)
         if self.ann_spec is not None:
             from .plan import attach_ann_index
-            attach_ann_index(plan, **self.ann_spec)
+            attach_ann_index(plan, **self.ann_spec, verify=False)
         if verify:
             plan.verify()
         return plan
 
     def verify(self):
-        """Validate every record, then verify the reconstructed plan."""
-        return self.dequantize(verify=True).verify()
+        """Validate every record, then verify the reconstructed plan
+        (once)."""
+        return self.dequantize(verify=False).verify()
 
 
 def quantize_plan(plan, mode: str) -> QuantizedPlan:

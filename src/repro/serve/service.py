@@ -50,7 +50,7 @@ import numpy as np
 from ..data.batching import pad_sequences
 from ..resilience.faults import fault_point
 from .ann import DEFAULT_NPROBE
-from .plan import FrozenPlan, attach_ann_index, check_padding, freeze
+from .plan import FrozenPlan, check_padding, prepare_plan
 from .retrieval import topk_from_scores
 
 
@@ -120,8 +120,8 @@ class RecommendService:
     padding:
         ``"model"`` or ``"tight"`` (see module docstring).
     verify:
-        Abstract-interpret the plan's program against its recorded
-        weight shapes/dtypes before serving (default True; see
+        Run the plan's programs on probe batches before serving, once,
+        after any ANN index is attached (default True; see
         :mod:`repro.analysis.dataflow`).  A drifted or corrupted plan
         raises ``PlanVerificationError`` here instead of failing mid
         request.
@@ -143,25 +143,14 @@ class RecommendService:
                  cache_size: int = 1024, padding: str = "model",
                  verify: bool = True, retrieval: str = "exact",
                  nprobe: int = DEFAULT_NPROBE):
-        if isinstance(model_or_plan, FrozenPlan):
-            plan = model_or_plan
-            if verify:
-                plan.verify()
-        else:
-            plan = freeze(model_or_plan, verify=verify)
-        check_padding(plan, padding)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         if retrieval not in ("exact", "ann"):
             raise ValueError(
                 f"retrieval must be 'exact' or 'ann', got {retrieval!r}")
-        if retrieval == "ann":
-            if not plan.supports_encode:
-                raise ValueError(
-                    f"{plan.model_name} has no compiled encode/score "
-                    "split; ANN retrieval needs one — use retrieval='exact'")
-            if plan.ann_index is None:
-                attach_ann_index(plan, verify=verify)
+        plan = prepare_plan(model_or_plan, verify=verify,
+                            ann=retrieval == "ann")
+        check_padding(plan, padding)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         self.retrieval = retrieval
         self.nprobe = max(1, int(nprobe))
         self.plan = plan
@@ -514,8 +503,8 @@ class RecommendService:
     def swap_plan(self, model_or_plan, verify: bool = True) -> FrozenPlan:
         """Hot-swap the serving plan in place; returns the old plan.
 
-        The incoming plan is verified (abstract interpretation of its
-        program) and checked against this service's padding/retrieval
+        The incoming plan is verified (its programs run on probe
+        batches) and checked against this service's padding/retrieval
         configuration *before* anything changes — a plan that fails
         verification leaves the service serving the old plan untouched.
         Queued-but-unflushed requests survive the swap and are answered
@@ -523,20 +512,9 @@ class RecommendService:
         and recurrent/KV states from the old plan must never leak into
         the new plan's results).
         """
-        if isinstance(model_or_plan, FrozenPlan):
-            incoming = model_or_plan
-            if verify:
-                incoming.verify()
-        else:
-            incoming = freeze(model_or_plan, verify=verify)
+        incoming = prepare_plan(model_or_plan, verify=verify,
+                                ann=self.retrieval == "ann")
         check_padding(incoming, self.padding)
-        if self.retrieval == "ann":
-            if not incoming.supports_encode:
-                raise ValueError(
-                    f"{incoming.model_name} has no compiled encode/score "
-                    "split; this service runs retrieval='ann'")
-            if incoming.ann_index is None:
-                attach_ann_index(incoming, verify=verify)
         previous = self.plan
         self.plan = incoming
         self._incremental = (self.padding == "tight"

@@ -1,11 +1,12 @@
-"""Tests for the abstract shape/dtype interpreter and plan verifier.
+"""Tests for the probe-execution plan verifier.
 
-Covers the lattice primitives, end-to-end verification of every
-registered backbone (and SSDRec variants) cross-checked step by step
-against concrete runs of the same programs, the serving facts derived
+Covers end-to-end verification of every registered backbone (and
+SSDRec variants) cross-checked step by step against an independent run
+of the same programs at a third batch size, the serving facts derived
 from which programs a plan has, structured failures on deliberately
-corrupted plans at ``freeze()`` and spool-load time, and the abstract
-memory-footprint estimates.
+corrupted plans at ``freeze()`` and spool-load time, single
+verification per plan construction path, and the measured
+memory-footprint reports.
 """
 
 import pickle
@@ -13,19 +14,17 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.analysis.dataflow as dataflow
 from repro.analysis.dataflow import (PlanVerificationError,
                                      default_plan_footprints,
-                                     memory_footprint, plan_inputs,
-                                     run_program, verify_plan)
-from repro.analysis.signatures import (SIGNATURES, AbstractValue,
-                                       SignatureError, aval,
-                                       broadcast_shapes)
+                                     memory_footprint, verify_plan)
 from repro.core import SSDRec, SSDRecConfig
 from repro.data import generate
 from repro.models import BACKBONES, GRU4Rec
 from repro.serve import FallbackPlan, freeze
 from repro.serve.cluster import ClusterService
-from repro.serve.program import OPS, execute, run_step
+from repro.serve.program import OPS, run_step
+from repro.serve.quant import quantize_plan
 from repro.serve.service import RecommendService
 
 DIM = 16
@@ -44,8 +43,6 @@ SERVING_FACTS = {
     "STAMP": (True, False, False),
     "Caser": (False, False, False),
 }
-
-ANN_PSEUDO_OPS = {"centroid_scores", "probe_clusters", "ann_gather_topk"}
 
 
 def build_backbone(name: str, seed: int = 3):
@@ -67,22 +64,25 @@ def corrupt_gru_weight(plan):
 
 def run_like_trace(program, trace, env, batch):
     """Execute ``program`` step by step through the interpreter, checking
-    every output's concrete shape/dtype against the abstract trace."""
+    every output's concrete shape/dtype against the verifier's trace."""
     assert len(program) == len(trace)
     for entry, expected in zip(program, trace):
+        assert entry["op"] == expected.op
         run_step(entry, env)
-        for name, value in zip(entry["out"], expected.outputs):
+        assert len(entry["out"]) == len(expected.outputs)
+        for name, (row_shape, dtype) in zip(entry["out"], expected.outputs):
             got = np.asarray(env[name])
             assert (got.shape, str(got.dtype)) == (
-                value.concretize(batch), value.dtype), (
+                (batch, *row_shape), dtype), (
                 f"step {expected.index} ({entry['op']}) output {name!r}")
     return env
 
 
-def check_every_program(plan, batch: int = 3, seed: int = 0):
-    """Verify ``plan`` and run every program it serves against the trace,
-    from the same inputs ``verify_plan`` interprets abstractly."""
+def check_every_program(plan, batch: int = 5, seed: int = 0):
+    """Verify ``plan`` and run every program it serves against the trace
+    at a batch size the verifier did not probe, from random inputs."""
     traces = verify_plan(plan)
+    assert batch not in dataflow.PROBE_BATCHES
     rng = np.random.default_rng(seed)
     vocab = plan.item_table.shape[0]
 
@@ -91,16 +91,15 @@ def check_every_program(plan, batch: int = 3, seed: int = 0):
                 "mask": np.ones((batch, length), dtype=bool),
                 "users": np.zeros(batch, dtype=np.int64)}
 
-    run_like_trace(plan.program(), traces["forward"],
-                   inputs(plan.max_len), batch)
     programs = plan.programs
+    run_like_trace(programs["encode"] + programs["score"],
+                   traces["forward"], inputs(plan.max_len), batch)
     assert set(traces) == {"forward"} | (set(programs) - {"encode",
                                                           "score"})
     if "tight" in programs:
-        run_like_trace(programs["tight"], traces["tight"],
-                       inputs(plan.max_len), batch)
+        env = run_like_trace(programs["tight"], traces["tight"],
+                             inputs(plan.max_len - 1), batch)
     if "append" in programs:
-        env = execute(programs["tight"], inputs(plan.max_len - 1))
         state = {name: env[name] for name in plan.state_names}
         state["item"] = rng.integers(1, vocab, size=batch)
         env = run_like_trace(programs["append"], traces["append"], state,
@@ -109,34 +108,6 @@ def check_every_program(plan, batch: int = 3, seed: int = 0):
                        {name: env[name] for name in plan.state_names},
                        batch)
     return traces
-
-
-class TestAbstractValue:
-    def test_nbytes_and_concretize_bind_the_batch_symbol(self):
-        value = AbstractValue(("B", 10, 4), "float64")
-        assert value.concretize(3) == (3, 10, 4)
-        assert value.nbytes(3) == 3 * 10 * 4 * 8
-        assert "B" in str(value)
-
-    def test_aval_accepts_arrays_and_descriptors(self):
-        arr = np.zeros((2, 3), dtype=np.float64)
-        assert aval(arr) == AbstractValue((2, 3), "float64")
-        desc = {"shape": (2, 3), "dtype": "float64", "nbytes": 48}
-        assert aval(desc) == AbstractValue((2, 3), "float64")
-
-    def test_broadcast_shapes(self):
-        assert broadcast_shapes(("B", 1, 4), (1, 10, 4)) == ("B", 10, 4)
-        with pytest.raises(SignatureError):
-            broadcast_shapes(("B", 3), ("B", 4))
-
-    def test_every_signature_is_callable(self):
-        assert len(SIGNATURES) >= 30
-        assert all(callable(fn) for fn in SIGNATURES.values())
-
-    def test_op_table_and_signatures_name_the_same_ops(self):
-        # Every runnable op is verifiable and vice versa; only the ANN
-        # pseudo-ops are verifier-only.
-        assert set(OPS) == set(SIGNATURES) - ANN_PSEUDO_OPS
 
 
 class TestBackbonePlans:
@@ -153,11 +124,9 @@ class TestBackbonePlans:
 
     def test_program_final_output_is_scores(self):
         plan = freeze(build_backbone("SASRec"))
-        env, _ = run_program(plan.program(), plan_inputs(plan),
-                             plan_name="SASRec")
-        scores = env["scores"]
-        assert scores.shape == ("B", NUM_ITEMS + 1)
-        assert scores.dtype == "float64"
+        last = verify_plan(plan)["forward"][-1]
+        assert last.op == "score"
+        assert last.outputs == [((NUM_ITEMS + 1,), "float64")]
 
 
 class TestSSDRecPlans:
@@ -223,21 +192,56 @@ class TestCorruptedPlans:
 
     def test_unknown_op_names_the_step(self):
         plan = freeze(build_backbone("SASRec"))
-        program = plan.program()
-        program[0]["op"] = "warp_drive"
+        encode = plan.programs["encode"]
+        encode[0] = dict(encode[0], op="warp_drive")
         with pytest.raises(PlanVerificationError) as excinfo:
-            run_program(program, plan_inputs(plan), plan_name="SASRec")
+            verify_plan(plan)
         err = excinfo.value
+        assert err.plan == "SASRec"
         assert err.step_index == 0
         assert err.op == "warp_drive"
-        assert "no transfer function" in str(err)
+        assert "no kernel for op 'warp_drive'" in str(err)
 
     def test_undefined_input_names_the_step(self):
         plan = freeze(build_backbone("SASRec"))
-        program = plan.program()
-        program[1]["in"] = ["ghost"]
-        with pytest.raises(PlanVerificationError, match="ghost"):
-            run_program(program, plan_inputs(plan), plan_name="SASRec")
+        encode = plan.programs["encode"]
+        encode[1] = dict(encode[1], **{"in": ["ghost"]})
+        with pytest.raises(PlanVerificationError, match="ghost") as excinfo:
+            verify_plan(plan)
+        err = excinfo.value
+        assert err.plan == "SASRec"
+        assert err.step_index == 1
+        assert err.op == encode[1]["op"]
+
+    def test_batch_dependent_axis_names_the_step(self):
+        # expand_dims on axis 0 turns (B, d) into (1, B, d): NumPy runs
+        # it, and only a later step fails to broadcast at B = 3.
+        plan = freeze(build_backbone("NARM"))
+        encode = plan.programs["encode"]
+        index = next(i for i, e in enumerate(encode)
+                     if e["op"] == "expand_dims")
+        encode[index] = dict(encode[index], params={"axis": 0})
+        with pytest.raises(PlanVerificationError) as excinfo:
+            verify_plan(plan)
+        err = excinfo.value
+        assert err.plan == "NARM"
+        assert err.step_index == index
+        assert err.op == "expand_dims"
+        assert "only axis 0 may follow the batch" in str(err)
+
+    def test_nan_weight_fails_verification(self):
+        plan = freeze(build_backbone("SASRec"))
+        index, entry = next(
+            (i, e) for i, e in enumerate(plan.programs["encode"])
+            if e["op"] == "transformer_encoder")
+        entry["params"]["layers"][0]["w_fc1"][0, 0] = np.nan
+        with pytest.raises(PlanVerificationError) as excinfo:
+            plan.verify()
+        err = excinfo.value
+        assert err.plan == "SASRec"
+        assert err.step_index == index
+        assert err.op == "transformer_encoder"
+        assert "SASRec step" in str(err) and "non-finite" in str(err)
 
 
 class TestServiceVerifyWiring:
@@ -275,18 +279,76 @@ class TestServiceVerifyWiring:
             service.close()
 
 
+class TestVerifyOnce:
+    """Every plan construction path verifies once, after the ANN index
+    (when one is asked for) is attached."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Per verification: whether the verified plan carried an index.
+
+        Counts this process only; cluster workers verify their spool in
+        their own processes."""
+        seen = []
+        original = dataflow.verify_plan
+
+        def counting(plan):
+            seen.append(plan.ann_index is not None)
+            return original(plan)
+
+        monkeypatch.setattr(dataflow, "verify_plan", counting)
+        return seen
+
+    def test_freeze_with_ann(self, calls):
+        freeze(build_backbone("GRU4Rec"), ann=True)
+        assert calls == [True]
+
+    def test_quantized_plan_with_ann(self, calls):
+        quantized = quantize_plan(
+            freeze(build_backbone("GRU4Rec"), ann=True, verify=False),
+            "int8")
+        assert calls == []
+        quantized.verify()
+        assert calls == [True]
+        calls.clear()
+        quantized.dequantize(verify=True)
+        assert calls == [True]
+        calls.clear()
+        quantized.dequantize(verify=False)
+        assert calls == []
+
+    def test_recommend_service_with_ann(self, calls):
+        service = RecommendService(build_backbone("GRU4Rec"), k=5,
+                                   retrieval="ann")
+        assert calls == [True]
+        calls.clear()
+        service.swap_plan(build_backbone("GRU4Rec", seed=4))
+        assert calls == [True]
+
+    def test_cluster_service_with_ann(self, calls):
+        service = ClusterService(build_backbone("GRU4Rec"), num_workers=1,
+                                 k=5, retrieval="ann", dispatch_timeout=30.0)
+        try:
+            assert calls == [True]
+            calls.clear()
+            service.swap_plan(build_backbone("GRU4Rec", seed=4))
+            assert calls == [True]
+        finally:
+            service.close()
+
+
 class TestMemoryFootprint:
     def test_footprint_shape_and_batch_scaling(self):
         plan = freeze(build_backbone("SASRec"))
         footprint = memory_footprint(plan)
         assert footprint["model"] == "SASRec"
-        assert footprint["steps"] == len(plan.program())
+        assert footprint["steps"] == len(plan.programs["encode"]) + 1
         assert footprint["weight_bytes"] > 0
         small = footprint["activations"]["1"]
         large = footprint["activations"]["64"]
         assert large["peak_step_bytes"] > small["peak_step_bytes"]
         assert small["total_bytes"] >= small["peak_step_bytes"]
-        assert small["peak_step_op"] in SIGNATURES
+        assert small["peak_step_op"] in OPS
 
     def test_default_footprints_cover_every_backbone(self):
         footprints = default_plan_footprints()

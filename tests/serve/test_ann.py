@@ -159,10 +159,7 @@ class TestPlanIntegration:
 
     def test_freeze_with_ann_verifies(self, ann_plan):
         assert ann_plan.ann_index is not None
-        verify_plan(ann_plan)  # abstract-interprets the ANN pseudo-ops
-        ops = [step["op"] for step in ann_plan.program()]
-        assert ops[-3:] == ["centroid_scores", "probe_clusters",
-                            "ann_gather_topk"]
+        verify_plan(ann_plan)  # checks the index and searches it
 
     def test_ann_topk_full_probe_matches_exact(self, ann_plan):
         rng = np.random.default_rng(2)
@@ -184,8 +181,7 @@ class TestPlanIntegration:
 
         broken = copy.deepcopy(ann_plan)
         broken.ann_index.packed_ids = broken.ann_index.packed_ids[:-3]
-        with pytest.raises(PlanVerificationError,
-                           match="ann_gather_topk"):
+        with pytest.raises(PlanVerificationError, match="packed_ids"):
             verify_plan(broken)
 
     def test_attach_rejects_fallback_plans(self):
