@@ -10,7 +10,7 @@ import pytest
 
 from repro.data import generate
 from repro.graph import build_multi_relation_graph
-from repro.nn import (LSTM, BiLSTM, Tensor, TransformerEncoder,
+from repro.nn import (GRU, LSTM, BiLSTM, Tensor, TransformerEncoder,
                       gumbel_softmax, reference, scaled_dot_product_attention)
 from repro.nn import functional as F
 
@@ -176,6 +176,43 @@ def test_micro_lstm_recurrence_unfused(benchmark):
         Tensor.stack(outs, axis=1).sum().backward()
 
     benchmark(step)
+
+
+def _gru_training_batch():
+    """A ``train-stream``-shaped GRU batch: B = 1024, L = 30, d = 32,
+    left-padded with zero inputs, about 30% of positions valid."""
+    rng = np.random.default_rng(4)
+    lengths = np.clip(rng.geometric(1 / 9, size=1024), 1, 30)
+    mask = np.arange(30)[None] >= (30 - lengths)[:, None]
+    x = np.where(mask[:, :, None], rng.normal(size=(1024, 30, 32)), 0.0)
+    return (GRU(32, 32, rng=np.random.default_rng(0)),
+            Tensor(x, requires_grad=True), mask)
+
+
+def _gru_forward_backward(benchmark, packed):
+    gru, x, mask = _gru_training_batch()
+    grad = np.random.default_rng(5).normal(size=x.shape)
+
+    def step():
+        gru.zero_grad()
+        x.grad = None
+        outs, _ = gru(x, mask=mask if packed else None)
+        outs.backward(grad)
+
+    benchmark(step)
+
+
+@pytest.mark.benchmark(group="gru-packed")
+def test_micro_gru_packed(benchmark):
+    # Each row steps from its first valid position; the padding is one
+    # shared trajectory.
+    _gru_forward_backward(benchmark, packed=True)
+
+
+@pytest.mark.benchmark(group="gru-packed")
+def test_micro_gru_unmasked(benchmark):
+    # The same batch with every row stepping through its padding.
+    _gru_forward_backward(benchmark, packed=False)
 
 
 @pytest.mark.benchmark(group="softmax")

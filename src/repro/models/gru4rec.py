@@ -30,5 +30,5 @@ class GRU4Rec(SequentialRecommender):
     def encode_states(self, states: Tensor, mask: np.ndarray) -> Tensor:
         hidden = self.dropout(states)
         for gru in self.layers:
-            hidden, _ = gru(hidden)
+            hidden, _ = gru(hidden, mask=mask)
         return self.output_proj(self.last_state(hidden, mask))

@@ -32,7 +32,7 @@ class NARM(SequentialRecommender):
         self.dropout = Dropout(dropout, rng=self.rng)
 
     def encode_states(self, states: Tensor, mask: np.ndarray) -> Tensor:
-        hidden, _ = self.gru(self.dropout(states))
+        hidden, _ = self.gru(self.dropout(states), mask=mask)
         final = self.last_state(hidden, mask)  # (B, d) global encoder
         # Additive attention: energy_t = v^T sigmoid(W_q h_final + W_k h_t)
         query = self.attn_query(final).expand_dims(1)  # (B, 1, d)

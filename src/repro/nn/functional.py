@@ -202,15 +202,31 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 
 def dropout(x: Tensor, p: float, training: bool,
             rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: active only when ``training`` and ``p > 0``."""
+    """Inverted dropout: active only when ``training`` and ``p > 0``.
+
+    Fused into one graph node: it keeps the bool mask of the draw
+    ``rng.random(x.shape) >= p`` and writes ``x / (1 - p)`` where the
+    mask keeps, zero (of ``x``'s sign) elsewhere; the backward scales the
+    gradient through the same mask.  Values, gradients and random draws
+    equal those of ``x * Tensor(mask / (1 - p))``.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return ensure_tensor(x)
     rng = resolve_rng(rng)
     x = ensure_tensor(x)
-    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * Tensor(mask)
+    keep = rng.random(x.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    out_data = np.multiply(x.data, scale)
+    out_data *= keep
+
+    def backward(grad):
+        g = np.multiply(grad, scale)
+        g *= keep
+        return (g,)
+
+    return Tensor._make(out_data, (x,), backward)
 
 
 def l2_regularization(params, coefficient: float) -> Tensor:

@@ -115,6 +115,13 @@ def gru_step_unfused(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
     return (1.0 - z) * n + z * h
 
 
+def dropout_unfused(x: Tensor, p: float,
+                    rng: np.random.Generator) -> Tensor:
+    """Training-mode inverted dropout as the float-mask product."""
+    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
+    return ensure_tensor(x) * Tensor(mask)
+
+
 def layer_norm_unfused(x: Tensor, gamma: Tensor, beta: Tensor,
                        eps: float = 1e-8) -> Tensor:
     x = ensure_tensor(x)

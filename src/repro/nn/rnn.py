@@ -20,6 +20,26 @@ contiguous rows of one cache-resident block.  The backward runs once
 the forward's own activation buffers instead of allocating new ones.  The
 Bi-LSTM runs both directions in one time loop over stacked ``(2, ...)``
 buffers.  Layer inputs and outputs stay ``(B, L, d)``.
+
+Packed padding: given the bool ``(B, L)`` mask of a left-padded batch,
+:class:`GRU` steps each row only from its first valid position.  Every
+row's padding input is the same (the padding item's zero embedding), so
+the state after ``k`` padding steps is one vector ``h_pad[k]``: one
+shared trajectory computes it and each row starts from it.  Rows sorted
+by start make the rows stepping at ``t`` a prefix of ``n_t`` columns of
+the ``(d, B)`` block.  The kernel checks the sharing bitwise: a row
+whose leading input differs from the most-padded row's steps through
+its own padding (it is *demoted*), so any input gives the unmasked
+result.  That result is bit for bit because every product runs on a
+multiple of 8 columns (or all ``B``), where OpenBLAS rounds each column
+as the full-width product does (measured with OpenBLAS 0.3.31; other
+widths round some columns differently); a batch of more than 8 rows
+that is not a multiple of 8 is therefore not packed.  Backward runs
+BPTT over the same prefixes and backpropagates the trajectory once; the
+input gradient at a shared padding position is exact only as the sum
+over the rows sharing it, which is what a shared upstream — a second
+GRU layer, the padding embedding row — consumes.  See
+:func:`gru_sequence` and :func:`repro.nn.kernels.gru_unroll`.
 """
 
 from __future__ import annotations
@@ -234,15 +254,68 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
     return Tensor._make(out if k == 2 else out[0], parents, backward)
 
 
+def _gru_step_backward(a: np.ndarray, h: np.ndarray, gh: np.ndarray,
+                       gh_n: np.ndarray, carry: np.ndarray, s1: np.ndarray,
+                       s2: np.ndarray, w_hh: np.ndarray,
+                       b_n: np.ndarray) -> None:
+    """BPTT through one GRU step over ``(., w)`` column blocks, in place.
+
+    ``a`` holds the step's ``[z; r; n]`` and becomes the input-side gate
+    gradient ``[da_z; da_r; da_n]``; ``gh_n`` receives the recurrent
+    side's ``da_n r``; ``carry`` receives ``dL/dh`` of the state ``h``
+    entering the step, given ``gh``, the gradient of the state leaving it
+    (clobbered).  The candidate's recurrent term ``h W_hn + b_hn`` is
+    recomputed from ``h``, not stored.
+    """
+    d = h.shape[0]
+    z, r, n = a[:d], a[d:2 * d], a[2 * d:]
+    w_n = w_hh[:, 2 * d:]
+    np.matmul(w_n.T, h, out=gh_n)
+    gh_n += b_n
+    np.subtract(h, n, out=s1)                         # gh (h - n) z
+    s1 *= gh
+    s1 *= z
+    np.subtract(1.0, z, out=s2)
+    np.multiply(n, n, out=n)                          # (1 - n^2) (1 - z) gh
+    np.subtract(1.0, n, out=n)
+    n *= s2
+    n *= gh
+    gh *= z                                           # direct dL/dh_{t-1}
+    np.multiply(s1, s2, out=z)                        # da_z
+    np.subtract(1.0, r, out=s2)                       # da_n gh_n r (1 - r)
+    s2 *= r
+    s2 *= gh_n
+    np.multiply(n, r, out=gh_n)
+    np.multiply(s2, n, out=r)
+    np.matmul(w_hh[:, :2 * d], a[:2 * d], out=carry)
+    carry += w_n @ gh_n
+    carry += gh
+
+
 def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
-                 b_hh: Tensor, hidden_dim: int,
-                 h0: Optional[Tensor] = None) -> Tensor:
+                 b_hh: Tensor, hidden_dim: int, h0: Optional[Tensor] = None,
+                 mask: Optional[np.ndarray] = None) -> Tensor:
     """The full GRU recurrence as a single graph node; returns ``(B, L, d)``
     hidden states (``[:, -1]`` is the final state).
 
     The forward is :func:`repro.nn.kernels.gru_unroll`, the loop frozen
     plans run too; backward is hand-written BPTT that writes its gate
     gradients over the forward's gate rows.
+
+    ``mask`` (bool ``(B, L)``, left-padded) packs the padding: each row
+    steps only from its first valid position and starts from the one
+    shared padding trajectory (see :func:`repro.nn.kernels.gru_unroll`,
+    which checks the padding really is shared).  The forward is the
+    unmasked one bit for bit.  Backward runs BPTT over the same column
+    prefixes; each row's state gradient at its start and every output
+    gradient at a padding position go into the trajectory's state
+    gradient, and the trajectory is backpropagated once.  Weight
+    gradients then differ from the unmasked ones by summation order
+    only.  The input gradient at a padding position is exact only as a
+    sum over the rows that share that step: all of it is booked to the
+    most-padded row, the others get zero.  That sum is what a shared
+    upstream needs — a second GRU layer's own trajectory, or the one
+    embedding row of the padding item.  A mask takes no ``h0``.
     """
     d = hidden_dim
     x = ensure_tensor(x)
@@ -250,60 +323,82 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
     w_ih_d, w_hh_d = w_ih.data, w_hh.data
     if h0 is not None:
         h0 = ensure_tensor(h0)
-    out, x_tm, acts, hs = kernels.gru_unroll(
+    out, tape = kernels.gru_unroll(
         x.data, w_ih_d, w_hh_d, b_ih.data, b_hh.data,
-        None if h0 is None else h0.data)
+        None if h0 is None else h0.data,
+        starts=None if mask is None else kernels.first_positions(mask))
+    hs, order = tape.hs, tape.order
+    widths = [a.shape[1] for a in tape.acts]
     dtype = out.dtype
 
     @consuming
     def backward(grad):
-        # Per step, acts[t] = [z; r; n] becomes the input-side gate
-        # gradient [da_z; da_r; da_n] in place; the recurrent side swaps
-        # da_n for da_n r, kept in gh_nr.  The candidate's recurrent term
-        # h W_hn + b_hn is recomputed from the saved state, not stored.
-        w_zr, w_n = w_hh_d[:, :2 * d], w_hh_d[:, 2 * d:]
+        # Columns run in the tape's row order.  Per step, the gate rows
+        # become [da_z; da_r; da_n] in place and gh_nr keeps da_n r.  The
+        # padding trajectory's state gradient ``gp`` collects what its
+        # rows receive while they are not stepped: their output
+        # gradients, then their state gradient at the step they start.
         b_n = b_hh.data[2 * d:, None]
+        g_rows = grad if order is None else grad[order]
         gh = np.zeros((d, batch), dtype=dtype)
-        carry = np.empty_like(gh)
-        s1 = np.empty_like(gh)
-        s2 = np.empty_like(gh)
+        carry, s1, s2 = (np.empty_like(gh) for _ in range(3))
         gh_nr = np.empty((length, d, batch), dtype=dtype)
+        ones = np.ones(batch, dtype=dtype)             # sums as products
+        pad_len = 0
+        if tape.pad is not None:
+            x_pad, pad_acts, h_pad = tape.pad
+            pad_len = len(x_pad)
+            p_acts, p_hs = pad_acts[:, :, :1], h_pad[:-1, :, :1]
+            p_nr = np.empty((pad_len, d, 1), dtype=dtype)
+            gp = np.zeros((d, 1), dtype=dtype)
+            p_carry, p_s1, p_s2 = (np.empty_like(gp) for _ in range(3))
         for t in range(length - 1, -1, -1):
-            a = acts[t]
-            z, r, n = a[:d], a[d:2 * d], a[2 * d:]
-            h, gh_n = hs[t], gh_nr[t]
-            np.matmul(w_n.T, h, out=gh_n)
-            gh_n += b_n
-            gh += grad[:, t].T
-            np.subtract(h, n, out=s1)                 # gh (h - n) z
-            s1 *= gh
-            s1 *= z
-            np.subtract(1.0, z, out=s2)
-            np.multiply(n, n, out=n)                  # (1 - n^2) (1 - z) gh
-            np.subtract(1.0, n, out=n)
-            n *= s2
-            n *= gh
-            gh *= z                                   # direct dL/dh_{t-1}
-            np.multiply(s1, s2, out=z)                # da_z
-            np.subtract(1.0, r, out=s2)               # da_n gh_n r (1 - r)
-            s2 *= r
-            s2 *= gh_n
-            np.multiply(n, r, out=gh_n)
-            np.multiply(s2, n, out=r)
-            np.matmul(w_zr, a[:2 * d], out=carry)
-            carry += w_n @ gh_n
-            carry += gh
-            gh, carry = carry, gh
-        d_gi = acts.transpose(0, 2, 1)                # (L, B, 3d) views
-        g_x = np.empty((batch, length, in_dim), dtype=dtype)
-        np.matmul(d_gi, w_ih_d.T, out=g_x.transpose(1, 0, 2))
-        g_wih = np.matmul(x_tm.transpose(0, 2, 1), d_gi).sum(axis=0)
-        d_zr, d_nr = d_gi[:, :, :2 * d], gh_nr.transpose(0, 2, 1)
-        g_whh = np.concatenate([np.matmul(hs[:length], d_zr).sum(axis=0),
-                                np.matmul(hs[:length], d_nr).sum(axis=0)],
-                               axis=1)
-        g_bhh = np.concatenate([d_zr.sum(axis=(0, 1)), d_nr.sum(axis=(0, 1))])
-        grads = (g_x, g_wih, g_whh, d_gi.sum(axis=(0, 1)), g_bhh)
+            w = widths[t]
+            if w:
+                gh[:, :w] += g_rows[:w, t].T
+                _gru_step_backward(tape.acts[t], hs[t, :, :w], gh[:, :w],
+                                   gh_nr[t, :, :w], carry[:, :w],
+                                   s1[:, :w], s2[:, :w], w_hh_d, b_n)
+                gh, carry = carry, gh
+            if t < pad_len:
+                gp[:, 0] += ones[w:] @ g_rows[w:, t]
+                _gru_step_backward(p_acts[t], p_hs[t], gp, p_nr[t], p_carry,
+                                   p_s1, p_s2, w_hh_d, b_n)
+                gp, p_carry = p_carry, gp
+            if t and widths[t - 1] < w:               # rows starting at t
+                gp[:, 0] += gh[:, widths[t - 1]:w] @ ones[widths[t - 1]:w]
+        if order is None:
+            d_gi = tape.acts.transpose(0, 2, 1)       # (L, B, 3d) views
+            g_x = np.empty((batch, length, in_dim), dtype=dtype)
+            np.matmul(d_gi, w_ih_d.T, out=g_x.transpose(1, 0, 2))
+            g_wih = np.matmul(tape.x_cols.transpose(0, 2, 1),
+                              d_gi).sum(axis=0)
+            d_zr, d_nr = d_gi[:, :, :2 * d], gh_nr.transpose(0, 2, 1)
+            g_whh = np.concatenate(
+                [np.matmul(hs[:length], d_zr).sum(axis=0),
+                 np.matmul(hs[:length], d_nr).sum(axis=0)], axis=1)
+            g_bih = d_gi.sum(axis=(0, 1))
+            g_bhh = np.concatenate([d_zr.sum(axis=(0, 1)),
+                                    d_nr.sum(axis=(0, 1))])
+        else:
+            # Every stepped column, the trajectory's last, as one block.
+            d_gi = np.concatenate([*tape.acts, *p_acts], axis=1)
+            h_cols = np.concatenate(
+                [*(hs[t, :, :w] for t, w in enumerate(widths)), *p_hs], axis=1)
+            d_nr = np.concatenate(
+                [*(gh_nr[t, :, :w] for t, w in enumerate(widths)), *p_nr],
+                axis=1)
+            g_cols = d_gi.T @ w_ih_d.T
+            g_x = np.zeros((batch, length, in_dim), dtype=dtype)
+            g_x[tape.cells] = g_cols[:-pad_len]
+            g_x[order[-1], :pad_len] = g_cols[-pad_len:]
+            g_wih = np.concatenate([tape.x_cols, x_pad]).T @ d_gi.T
+            g_whh = np.concatenate([h_cols @ d_gi[:2 * d].T, h_cols @ d_nr.T],
+                                   axis=1)
+            ones = np.ones(d_gi.shape[1], dtype=dtype)
+            g_bih = d_gi @ ones
+            g_bhh = np.concatenate([g_bih[:2 * d], d_nr @ ones])
+        grads = (g_x, g_wih, g_whh, g_bih, g_bhh)
         return grads if h0 is None else grads + (gh.T,)
 
     parents = ((x, w_ih, w_hh, b_ih, b_hh) if h0 is None
@@ -354,12 +449,17 @@ class GRU(Module):
         self.cell = GRUCell(input_dim, hidden_dim, rng)
         self.hidden_dim = hidden_dim
 
-    def forward(self, x: Tensor, h0: Optional[Tensor] = None) -> Tuple[Tensor, Tensor]:
-        """Return ``(outputs, last_hidden)``; outputs is (B, L, H)."""
+    def forward(self, x: Tensor, h0: Optional[Tensor] = None,
+                mask: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
+        """Return ``(outputs, last_hidden)``; outputs is (B, L, H).
+
+        ``mask`` (bool ``(B, L)``) packs the left padding, as
+        :func:`gru_sequence` describes; the outputs do not change.
+        """
         x = ensure_tensor(x)
         cell = self.cell
         outputs = gru_sequence(x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh,
-                               self.hidden_dim, h0)
+                               self.hidden_dim, h0, mask)
         return outputs, outputs[:, -1, :]
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import (GRU, LSTM, BiLSTM, GRUCell, LayerNorm, Tensor,
-                      gru_sequence, lstm_sequence, reference,
+                      gru_sequence, kernels, lstm_sequence, reference,
                       scaled_dot_product_attention)
 from repro.nn import functional as F
 
@@ -222,6 +222,27 @@ class TestFusedVsUnfused:
                              backward_grads(unfused_loss, *leaves)):
             np.testing.assert_allclose(got, want, atol=1e-9)
 
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_dropout_equals_the_float_mask_product(self, p):
+        """The fused node draws the same numbers and gives the values,
+        signs and gradients of ``x * Tensor(mask / (1 - p))``."""
+        rng = np.random.default_rng(4)
+        x0 = rng.normal(size=(16, 30, 8))
+        g0 = rng.normal(size=x0.shape)
+
+        def run(op):
+            x = Tensor(x0, requires_grad=True)
+            draws = np.random.default_rng(9)
+            out = op(x, draws)
+            out.backward(g0)
+            return out.data, x.grad, draws.random()
+
+        fused = run(lambda x, draws: F.dropout(x, p, True, draws))
+        unfused = run(lambda x, draws: reference.dropout_unfused(x, p, draws))
+        for got, want in zip(fused, unfused):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 10_000))
     def test_layer_norm(self, batch, dim, seed):
@@ -372,6 +393,261 @@ class TestRecurrenceAtTrainingShape:
         backward(np.ones_like(out.data))
         with pytest.raises(RuntimeError, match="already ran"):
             backward(np.ones_like(out.data))
+
+
+def left_padded(rng, starts, length, dim):
+    """Inputs zero before each row's start, as the padding item's
+    embedding row gives them, and the matching mask."""
+    mask = np.arange(length)[None] >= np.asarray(starts)[:, None]
+    noise = rng.normal(size=(len(starts), length, dim))
+    return np.where(mask[:, :, None], noise, 0.0), mask
+
+
+def unfused_gru(x, cell, dim):
+    """Every row through every step, by ``reference.gru_step_unfused``."""
+    h = Tensor(np.zeros((x.shape[0], dim)))
+    outs = []
+    for t in range(x.shape[1]):
+        h = reference.gru_step_unfused(x[:, t, :], h, cell.w_ih, cell.w_hh,
+                                       cell.b_ih, cell.b_hh, dim)
+        outs.append(h)
+    return Tensor.stack(outs, axis=1)
+
+
+class TestPackedRecurrence:
+    """``gru_sequence(mask=...)`` steps each row from its first valid
+    position over one shared padding trajectory: its forward is the
+    unmasked kernel's bit for bit, its gradients match the unfused
+    reference."""
+
+    BATCHES = [1, 2, 7, 64, 1024]
+    LENGTH, DIM = 30, 32
+    CASES = ["mixed", "no_padding", "equal_lengths", "all_padded", "holes",
+             "differing_row", "shared_nonzero_padding"]
+    #: Cases whose every row keeps its padding: they pack at any batch
+    #: size.  With a row starting at 0, only a batch of 8k rows packs.
+    PACKED = {"equal_lengths", "all_padded", "shared_nonzero_padding"}
+
+    def make_case(self, case, rows, rng, length=LENGTH, dim=DIM):
+        starts = rng.integers(0, length, size=rows)
+        if case == "mixed":                     # rows of length 1 and L
+            starts[:2] = [length - 1, 0][:rows]
+        elif case == "no_padding":
+            starts[:] = 0
+        elif case == "equal_lengths":
+            starts[:] = length // 3
+        elif case in ("all_padded", "differing_row",
+                      "shared_nonzero_padding"):
+            starts = rng.integers(1, length, size=rows)
+            starts[0] = length - 1
+        x, mask = left_padded(rng, starts, length, dim)
+        if case == "shared_nonzero_padding":     # a trained padding row
+            x[~mask] = rng.normal(size=dim)
+        if case == "holes":                     # as SSDRec keep masks drop
+            first = kernels.first_positions(mask)
+            holes = rng.random(mask.shape) < 0.3
+            holes &= np.arange(length)[None] > first[:, None]
+            mask &= ~holes
+        if case == "differing_row" and rows > 1:
+            starts[1] = max(starts[1], 2)
+            x, mask = left_padded(rng, starts, length, dim)
+            x[1, 0] = 1.0                       # not the shared padding
+        return x, mask
+
+    @staticmethod
+    def weights(dim, seed=1):
+        """A GRU cell as training leaves it: nonzero biases, so the
+        padding trajectory is not the zero state, and the F-ordered
+        ``w_hh`` of orthogonal init."""
+        gru = GRU(dim, dim, rng=np.random.default_rng(seed))
+        cell = gru.cell
+        rng = np.random.default_rng(seed + 1)
+        for bias in (cell.b_ih, cell.b_hh):
+            bias.data[...] = rng.normal(scale=0.5, size=bias.shape)
+        return gru, (cell.w_ih.data, cell.w_hh.data, cell.b_ih.data,
+                     cell.b_hh.data)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("rows", BATCHES)
+    def test_forward_equals_the_unmasked_kernel(self, rows, case):
+        x, mask = self.make_case(case, rows, np.random.default_rng(rows))
+        gru, args = self.weights(self.DIM)
+        starts = kernels.first_positions(mask)
+        packed, tape = kernels.gru_unroll(x, *args, starts=starts)
+        unmasked = kernels.gru_unroll(x, *args)[0]
+        np.testing.assert_array_equal(packed, unmasked)
+        np.testing.assert_array_equal(gru(Tensor(x), mask=mask)[0].data,
+                                      unmasked)
+        wide = rows >= 64
+        if case in self.PACKED or wide and case != "no_padding":
+            assert tape.order is not None
+        if case == "differing_row" and wide:
+            # Row 1 is demoted: it steps from position 0.
+            assert 1 in tape.order[:tape.acts[0].shape[1]]
+
+    def test_wide_batch_steps_widths_that_are_not_multiples_of_8(self):
+        """At B = 1024 the started-row counts pass through widths above
+        325 that are not multiples of 8, where a product's last columns
+        round differently; the packed forward still matches."""
+        rows = 1024
+        x, mask = self.make_case("mixed", rows, np.random.default_rng(rows))
+        starts = kernels.first_positions(mask)
+        started = np.searchsorted(np.sort(starts), np.arange(self.LENGTH),
+                                  side="right")
+        assert ((started > 325) & (started % 8 != 0)).any()
+        _, args = self.weights(self.DIM)
+        np.testing.assert_array_equal(
+            kernels.gru_unroll(x, *args, starts=starts)[0],
+            kernels.gru_unroll(x, *args)[0])
+
+    def test_unaligned_wide_batch_steps_unpacked(self):
+        """A batch of more than 8 rows that is not a multiple of 8 is not
+        packed: the unmasked loop computes its last rows as the tail of
+        a wider product, which rounds differently."""
+        rows = 1003
+        x, mask = self.make_case("all_padded", rows,
+                                 np.random.default_rng(rows))
+        _, args = self.weights(self.DIM)
+        packed, tape = kernels.gru_unroll(
+            x, *args, starts=kernels.first_positions(mask))
+        assert tape.order is None
+        np.testing.assert_array_equal(packed,
+                                      kernels.gru_unroll(x, *args)[0])
+
+    @pytest.mark.parametrize("layout", ["w_hh_c_order", "w_ih_f_order"])
+    def test_weight_layouts(self, layout):
+        """A C-ordered ``w_hh`` still packs exactly; an F-ordered ``w_ih``,
+        whose narrow projections round differently, steps unpacked."""
+        rows = 1024
+        x, mask = self.make_case("mixed", rows, np.random.default_rng(3))
+        _, (w_ih, w_hh, b_ih, b_hh) = self.weights(self.DIM)
+        if layout == "w_hh_c_order":
+            w_hh = np.ascontiguousarray(w_hh)
+        else:
+            w_ih = np.asfortranarray(w_ih)
+        args = (w_ih, w_hh, b_ih, b_hh)
+        packed, tape = kernels.gru_unroll(
+            x, *args, starts=kernels.first_positions(mask))
+        assert (tape.order is None) == (layout == "w_ih_f_order")
+        np.testing.assert_array_equal(packed,
+                                      kernels.gru_unroll(x, *args)[0])
+
+    @pytest.mark.parametrize("case", ["mixed", "all_padded", "holes",
+                                      "differing_row"])
+    @pytest.mark.parametrize("rows", BATCHES)
+    def test_gradients_match_the_unfused_reference(self, rows, case):
+        length, dim = 12, 8
+        rng = np.random.default_rng(100 + rows)
+        x0, mask = self.make_case(case, rows, rng, length, dim)
+        gru, _ = self.weights(dim, seed=2)
+        cell = gru.cell
+        w = Tensor(rng.normal(size=x0.shape))
+        leaves = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
+
+        def grads(run):
+            x = Tensor(x0.copy(), requires_grad=True)
+            return backward_grads(lambda: (run(x) * w).sum(), x, *leaves)
+
+        g_x, *g_w = grads(lambda x: gru(x, mask=mask)[0])
+        r_x, *r_w = grads(lambda x: unfused_gru(x, cell, dim))
+        for got, want in zip(g_w, r_w):
+            np.testing.assert_allclose(got, want, atol=1e-9)
+        own = np.arange(length)[None] >= kernels.first_positions(mask)[:, None]
+        np.testing.assert_allclose(g_x[own], r_x[own], atol=1e-9)
+        # Padding positions share one trajectory: their input gradients
+        # are exact as a per-step sum over the rows.
+        shared = ~own[:, :, None]
+        np.testing.assert_allclose((g_x * shared).sum(axis=0),
+                                   (r_x * shared).sum(axis=0), atol=1e-9)
+
+    def test_two_layer_gru4rec_first_layer_learns_through_the_trajectory(
+            self):
+        """Layer 2's trajectory books its padding input gradient to one
+        row; layer 1 sends it into its own trajectory."""
+        from repro.data.batching import pad_sequences
+        from repro.models import GRU4Rec
+
+        length, dim, rows = 12, 8, 64
+        rng = np.random.default_rng(5)
+        model = GRU4Rec(num_items=40, dim=dim, max_len=length, num_layers=2,
+                        dropout=0.0, rng=np.random.default_rng(6))
+        for gru in model.layers:                # a nonzero trajectory
+            for bias in (gru.cell.b_ih, gru.cell.b_hh):
+                bias.data[...] = rng.normal(scale=0.5, size=bias.shape)
+        seqs = [list(rng.integers(1, 41, size=rng.integers(1, length)))
+                for _ in range(rows)]
+        items, mask, _ = pad_sequences(seqs, max_len=length)
+        assert not mask[:, 0].any()
+        w = Tensor(rng.normal(size=(rows, dim)))
+        first = model.layers[0].cell
+        leaves = (first.w_ih, first.w_hh, first.b_ih, first.b_hh)
+
+        def reference_encode():
+            hidden = model.dropout(model.embed_items(items))
+            for gru in model.layers:
+                hidden = unfused_gru(hidden, gru.cell, dim)
+            return model.output_proj(model.last_state(hidden, mask))
+
+        got = backward_grads(
+            lambda: (model.encode(items, mask) * w).sum(), *leaves)
+        want = backward_grads(lambda: (reference_encode() * w).sum(), *leaves)
+        for g, r in zip(got, want):
+            np.testing.assert_allclose(g, r, atol=1e-9)
+
+    @pytest.mark.parametrize("backbone", ["GRU4Rec", "NARM"])
+    def test_ssdrec_training_gradients_match_the_unpacked_gru(
+            self, backbone, monkeypatch):
+        """The booked padding input gradient reaches no parameter
+        through SSDRec's pipeline: every gradient of an SSDRec training
+        loss matches the unpacked GRU's to rounding."""
+        from repro.core import SSDRec, SSDRecConfig
+        from repro.data import generate
+        from repro.data.batching import Batch, pad_sequences
+        from repro.models import BACKBONES
+
+        dataset = generate("beauty", seed=0, scale=0.25)
+        rng = np.random.default_rng(2)
+        users = rng.integers(1, dataset.num_users, size=64)
+        seqs = [dataset.sequences[u][:13] for u in users]
+        items, mask, lengths = pad_sequences(
+            [seq[:-1] or seq for seq in seqs], max_len=12)
+        batch = Batch(users=users, items=items, mask=mask, lengths=lengths,
+                      targets=np.array([seq[-1] for seq in seqs]))
+
+        def gradients():
+            model = SSDRec(dataset, backbone_cls=BACKBONES[backbone],
+                           config=SSDRecConfig(dim=16, max_len=12),
+                           rng=np.random.default_rng(1))
+            model.train()
+            model.loss(batch).backward()
+            return {name: p.grad for name, p in model.named_parameters()
+                    if p.grad is not None}
+
+        packed = gradients()
+        monkeypatch.setattr(kernels, "_gru_packing", lambda *args: None)
+        unpacked = gradients()
+        assert packed.keys() == unpacked.keys()
+        for name, grad in packed.items():
+            np.testing.assert_allclose(grad, unpacked[name], atol=1e-9,
+                                       err_msg=name)
+
+    def test_consumed_backward_refuses_a_second_call(self):
+        x, mask = self.make_case("all_padded", 8, np.random.default_rng(0),
+                                 6, 5)
+        cell = GRU(5, 5, rng=np.random.default_rng(0)).cell
+        out = gru_sequence(Tensor(x, requires_grad=True), cell.w_ih,
+                           cell.w_hh, cell.b_ih, cell.b_hh, 5, mask=mask)
+        backward = out._backward
+        backward(np.ones_like(out.data))
+        with pytest.raises(RuntimeError, match="already ran"):
+            backward(np.ones_like(out.data))
+
+    def test_an_initial_state_takes_no_mask(self):
+        x, mask = self.make_case("all_padded", 2, np.random.default_rng(0),
+                                 4, 3)
+        gru = GRU(3, 3, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="initial state"):
+            gru(Tensor(x), Tensor(np.zeros((2, 3))), mask=mask)
 
 
 class TestFiniteDifferenceParity:

@@ -14,7 +14,7 @@ from repro.core import SSDRec, SSDRecConfig
 from repro.data import generate
 from repro.data.batching import pad_sequences
 from repro.models import BACKBONES, GRU4Rec, SASRec, SRGNN
-from repro.nn import Module, Tensor, kernels, no_grad
+from repro.nn import GRUCell, Module, Tensor, kernels, no_grad
 from repro.serve import FallbackPlan, executors, freeze
 from repro.serve.program import OPS
 
@@ -102,6 +102,29 @@ def test_transformer_parity_at_every_batch_shape(name, rows):
     model = BACKBONES[name](num_items=NUM_ITEMS, dim=DIM, max_len=MAX_LEN,
                             rng=np.random.default_rng(3))
     items, mask = random_batch(np.random.default_rng(20 + rows), rows=rows)
+    assert_encode_parity(model, items, mask)
+
+
+def with_trained_gru_biases(model, seed=4):
+    """Nonzero GRU biases, as training leaves them: the padding
+    trajectory is then not the zero state."""
+    rng = np.random.default_rng(seed)
+    for module in model.modules():
+        if isinstance(module, GRUCell):
+            for bias in (module.b_ih, module.b_hh):
+                bias.data[...] = rng.normal(scale=0.5, size=bias.shape)
+    return model
+
+
+@pytest.mark.parametrize("rows", BATCH_SIZES)
+@pytest.mark.parametrize("name", ["GRU4Rec", "NARM"])
+def test_recurrent_parity_at_every_batch_shape(name, rows):
+    """The graph's GRU packs the left padding while the plan steps
+    through it; the representations agree bit for bit."""
+    model = with_trained_gru_biases(BACKBONES[name](
+        num_items=NUM_ITEMS, dim=DIM, max_len=MAX_LEN,
+        rng=np.random.default_rng(3)))
+    items, mask = random_batch(np.random.default_rng(60 + rows), rows=rows)
     assert_encode_parity(model, items, mask)
 
 
@@ -227,6 +250,18 @@ class TestSSDRecParity:
                        rng=np.random.default_rng(1))
         items, mask, users = self._batch(
             dataset, np.random.default_rng(50 + rows), rows)
+        assert_encode_parity(model, items, mask, users)
+
+    @pytest.mark.parametrize("rows", BATCH_SIZES)
+    def test_gru4rec_backbone_at_every_batch_shape(self, dataset, rows):
+        """The backbone GRU packs what the keep mask leaves as leading
+        padding; rows whose leading states differ step on their own."""
+        model = with_trained_gru_biases(SSDRec(
+            dataset, backbone_cls=GRU4Rec,
+            config=SSDRecConfig(dim=DIM, max_len=MAX_LEN),
+            rng=np.random.default_rng(1)))
+        items, mask, users = self._batch(
+            dataset, np.random.default_rng(70 + rows), rows)
         assert_encode_parity(model, items, mask, users)
 
     @pytest.mark.parametrize("kwargs", [
