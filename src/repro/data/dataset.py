@@ -18,6 +18,7 @@ for padding everywhere in the repository.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -36,6 +37,9 @@ class SequenceView(Protocol):
     0, the padding user, is always 0).  Everything downstream of the
     data plane — splitting, loading, model construction — should only
     assume this surface, never ``sequences`` the Python list.
+    ``user_items(u0, u1)`` returns users ``u0..u1-1``'s sequences
+    concatenated in user order (one flat int64 array, the CSR item
+    column of that window), so bulk passes need not slice user by user.
     ``resident`` says whether every sequence is already in RAM; the
     loader shuffles resident data as one window.
     """
@@ -52,6 +56,8 @@ class SequenceView(Protocol):
     def sequence(self, user: int) -> np.ndarray: ...
 
     def seq_lengths(self) -> np.ndarray: ...
+
+    def user_items(self, u0: int, u1: int) -> np.ndarray: ...
 
     def statistics(self) -> Dict[str, float]: ...
 
@@ -116,6 +122,12 @@ class InteractionDataset:
         return np.fromiter((len(s) for s in self.sequences),
                            dtype=np.int64, count=len(self.sequences))
 
+    def user_items(self, u0: int, u1: int) -> np.ndarray:
+        """Users ``u0..u1-1``'s items concatenated, as one int64 array."""
+        window = self.sequences[u0:u1]
+        return np.fromiter(chain.from_iterable(window), dtype=np.int64,
+                           count=sum(map(len, window)))
+
     # ------------------------------------------------------------------
     @property
     def num_interactions(self) -> int:
@@ -139,15 +151,11 @@ class InteractionDataset:
         """Matrix ``A`` with A[u, v] = number of times u interacted with v.
 
         Shape ``(num_users + 1, num_items + 1)`` so ids index directly.
+        Built by :func:`repro.graph.relations.interaction_matrix`, which
+        reads any :class:`SequenceView` in bounded user windows.
         """
-        rows, cols = [], []
-        for u, seq in enumerate(self.sequences):
-            rows.extend([u] * len(seq))
-            cols.extend(seq)
-        data = np.ones(len(rows))
-        return sparse.csr_matrix(
-            (data, (rows, cols)),
-            shape=(self.num_users + 1, self.num_items + 1))
+        from ..graph.relations import interaction_matrix
+        return interaction_matrix(self)
 
     def item_popularity(self) -> np.ndarray:
         """Interaction count per item id (index 0 is always 0)."""

@@ -82,9 +82,14 @@ def popularity_split(dataset: InteractionDataset,
     incompatible-relation construction to popular items.  Returns
     ``(popular_ids, tail_ids)`` sorted by descending popularity.
     """
+    return split_by_count(dataset.item_popularity(), head_fraction)
+
+
+def split_by_count(counts: np.ndarray, head_fraction: float = 0.2
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`popularity_split` over per-item counts (entry 0 is padding)."""
     if not 0.0 < head_fraction <= 1.0:
         raise ValueError("head_fraction must be in (0, 1]")
-    counts = dataset.item_popularity()
     items = np.argsort(-counts[1:]) + 1  # descending popularity, ids
-    cut = max(1, int(round(head_fraction * dataset.num_items)))
+    cut = max(1, int(round(head_fraction * (counts.shape[0] - 1))))
     return items[:cut].copy(), items[cut:].copy()

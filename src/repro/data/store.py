@@ -300,6 +300,10 @@ class InteractionStore:
         """Per-user length, indexed by user id (O(num_users) memory)."""
         return np.diff(self.indptr)
 
+    def user_items(self, u0: int, u1: int) -> np.ndarray:
+        """Users ``u0..u1-1``'s items — one zero-copy slice of the mmap."""
+        return self.items[self.indptr[u0]:self.indptr[u1]]
+
     def statistics(self) -> Dict[str, float]:
         """Summary row matching ``InteractionDataset.statistics``.
 

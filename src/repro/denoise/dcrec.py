@@ -20,7 +20,7 @@ from scipy import sparse
 from ..core.sparse_ops import row_normalize, sparse_matmul
 from ..data.batching import Batch
 from ..data.dataset import PAD_ID, InteractionDataset
-from ..graph.transitions import build_transitional
+from ..graph.relations import build_transitional
 from ..models.sasrec import SASRec
 from ..nn import Linear, Tensor
 from ..nn import functional as F

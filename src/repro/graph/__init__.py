@@ -1,13 +1,12 @@
 """``repro.graph`` — multi-relation graph construction (Sec. III-A)."""
 
-from .incompatible import build_incompatible
 from .multi_relation import (GraphConfig, MultiRelationGraph,
                              build_multi_relation_graph)
-from .transitions import build_transitional, prune_top_k
-from .user_relations import build_dissimilar, build_similar
+from .relations import (build_dissimilar, build_incompatible, build_similar,
+                        build_transitional, interaction_matrix, prune_top_k)
 
 __all__ = [
     "GraphConfig", "MultiRelationGraph", "build_multi_relation_graph",
     "build_transitional", "prune_top_k", "build_incompatible",
-    "build_similar", "build_dissimilar",
+    "build_similar", "build_dissimilar", "interaction_matrix",
 ]

@@ -8,13 +8,18 @@
 * ``E_uu_plus``  — undirected similar-user relations,
 * ``E_uu_minus`` — undirected dissimilar-user relations.
 
-:func:`build_multi_relation_graph` derives all five from an
-:class:`~repro.data.dataset.InteractionDataset` in a purely data-driven way
-(no labels, no side features), exactly as the paper requires.
+:func:`build_multi_relation_graph` derives all five from any
+:class:`~repro.data.dataset.SequenceView` — the in-memory
+``InteractionDataset`` or the mmap ``InteractionStore`` — in a purely
+data-driven way (no labels, no side features), exactly as the paper
+requires.  The relations are built by the vectorized functions of
+:mod:`repro.graph.relations`.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -22,11 +27,11 @@ import networkx as nx
 import numpy as np
 from scipy import sparse
 
-from ..data.dataset import InteractionDataset
-from ..data.preprocessing import popularity_split
-from .incompatible import build_incompatible
-from .transitions import build_transitional, prune_top_k
-from .user_relations import build_dissimilar, build_similar
+from ..data.dataset import SequenceView
+from ..data.preprocessing import split_by_count
+from ..data.store import DEFAULT_CHUNK_EVENTS
+from .relations import (build_dissimilar, build_incompatible, build_similar,
+                        build_transitional, interaction_matrix, prune_top_k)
 
 
 @dataclass
@@ -68,25 +73,40 @@ class MultiRelationGraph:
             "dissimilar": self.dissimilar_users.nnz,
         }
 
-    def validate(self) -> None:
+    def validate(self, block_pairs: int = 1 << 18) -> None:
         """Check the structural invariants promised by Sec. III-A.
 
-        Raises ``AssertionError`` when any invariant is violated; used by
-        tests and as a debugging aid after construction.
+        Raises ``AssertionError`` (explicitly, so ``python -O`` keeps
+        the checks) naming the first offending pair when
+
+        * an incompatible pair also has a transitional edge,
+        * the incompatible matrix is not symmetric, or
+        * a dissimilar pair co-interacted with an item.
+
+        Every check is a sparse elementwise op; the co-interaction test
+        gathers both users' item rows for ``block_pairs`` dissimilar
+        pairs at a time, so no ``U x U`` product is formed.
         """
         sym_t = self.transitional + self.transitional.T
-        inc = self.incompatible.tocoo()
-        for i, j in zip(inc.row, inc.col):
-            assert sym_t[i, j] == 0, (
-                f"incompatible pair ({i},{j}) also has a transitional edge")
-        diff = (self.incompatible - self.incompatible.T)
-        assert abs(diff).sum() < 1e-9, "incompatible matrix must be symmetric"
+        clash = self.incompatible.multiply(sym_t != 0).tocoo()
+        if clash.nnz:
+            raise AssertionError(
+                f"incompatible pair ({clash.row[0]},{clash.col[0]}) also "
+                f"has a transitional edge")
+        diff = self.incompatible - self.incompatible.T
+        if not abs(diff).sum() < 1e-9:
+            raise AssertionError("incompatible matrix must be symmetric")
         dis = self.dissimilar_users.tocoo()
-        co = (self.interactions > 0).astype(np.float64)
-        co = co @ co.T
-        for i, j in zip(dis.row, dis.col):
-            assert co[i, j] == 0, (
-                f"dissimilar pair ({i},{j}) co-interacted with an item")
+        items = (self.interactions > 0).astype(np.float64).tocsr()
+        for lo in range(0, dis.nnz, block_pairs):
+            rows = dis.row[lo:lo + block_pairs]
+            cols = dis.col[lo:lo + block_pairs]
+            shared = items[rows].multiply(items[cols]).getnnz(axis=1)
+            if shared.any():
+                at = int(np.flatnonzero(shared)[0])
+                raise AssertionError(
+                    f"dissimilar pair ({rows[at]},{cols[at]}) "
+                    f"co-interacted with an item")
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export to a NetworkX multigraph for inspection/analysis.
@@ -115,36 +135,50 @@ class MultiRelationGraph:
         return graph
 
 
-def build_multi_relation_graph(dataset: InteractionDataset,
-                               config: Optional[GraphConfig] = None
+def build_multi_relation_graph(view: SequenceView,
+                               config: Optional[GraphConfig] = None,
+                               chunk_events: int = DEFAULT_CHUNK_EVENTS,
+                               timings: Optional[Dict[str, float]] = None
                                ) -> MultiRelationGraph:
-    """Construct all five relation types from raw interaction data."""
+    """Construct all five relation types from raw interaction data.
+
+    ``view`` is read in windows of whole users holding at most
+    ``chunk_events`` events; a view that fits one window yields exactly
+    the reference loops' matrices (:mod:`repro.graph.reference`).  When
+    given, ``timings`` receives each relation's build seconds (pruning
+    and symmetrization included), keyed like :meth:`relation_counts`.
+    """
     config = config or GraphConfig()
-    interactions = dataset.interaction_matrix()
+    k = config.max_neighbors
 
-    transitional = build_transitional(dataset, window=config.transition_window)
-    if config.max_neighbors:
-        transitional = prune_top_k(transitional, config.max_neighbors)
-
-    popular, _ = popularity_split(dataset, config.item_head_fraction)
-    incompatible = build_incompatible(transitional, popular)
-    if config.max_neighbors:
-        incompatible = prune_top_k(incompatible, config.max_neighbors)
-        incompatible = incompatible.maximum(incompatible.T)
-
-    active_users = _active_users(interactions, config.user_head_fraction)
-    similar = build_similar(interactions, active_users)
-    if config.max_neighbors:
-        similar = prune_top_k(similar, config.max_neighbors)
-        similar = similar.maximum(similar.T)
-    dissimilar = build_dissimilar(interactions, similar)
-    if config.max_neighbors:
-        dissimilar = prune_top_k(dissimilar, config.max_neighbors)
-        dissimilar = dissimilar.maximum(dissimilar.T)
+    with _timed(timings, "interacted"):
+        interactions = interaction_matrix(view, chunk_events)
+    with _timed(timings, "transitional"):
+        transitional = build_transitional(view, config.transition_window,
+                                          chunk_events)
+        if k:
+            transitional = prune_top_k(transitional, k)
+    with _timed(timings, "incompatible"):
+        counts = np.asarray(interactions.sum(axis=0)).ravel()
+        popular, _ = split_by_count(counts.astype(np.int64),
+                                    config.item_head_fraction)
+        incompatible = build_incompatible(transitional, popular)
+        if k:
+            incompatible = prune_top_k(incompatible, k)
+            incompatible = incompatible.maximum(incompatible.T)
+    with _timed(timings, "similar"):
+        active_users = _active_users(interactions, config.user_head_fraction)
+        similar = build_similar(interactions, active_users, max_neighbors=k)
+        if k:
+            similar = similar.maximum(similar.T)
+    with _timed(timings, "dissimilar"):
+        dissimilar = build_dissimilar(interactions, similar, max_neighbors=k)
+        if k:
+            dissimilar = dissimilar.maximum(dissimilar.T)
 
     return MultiRelationGraph(
-        num_users=dataset.num_users,
-        num_items=dataset.num_items,
+        num_users=view.num_users,
+        num_items=view.num_items,
         interactions=interactions,
         transitional=transitional,
         incompatible=incompatible,
@@ -152,6 +186,15 @@ def build_multi_relation_graph(dataset: InteractionDataset,
         dissimilar_users=dissimilar,
         config=config,
     )
+
+
+@contextmanager
+def _timed(timings: Optional[Dict[str, float]], name: str):
+    """Record the block's seconds as ``timings[name]`` (when given)."""
+    start = time.perf_counter()
+    yield
+    if timings is not None:
+        timings[name] = time.perf_counter() - start
 
 
 def _active_users(interactions: sparse.csr_matrix,

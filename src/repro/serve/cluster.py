@@ -431,7 +431,9 @@ class ClusterService:
         Phase 1 (*prepare*): the incoming plan is verified in the
         front-end, spooled atomically to a **versioned** path
         (``plan-v{n}.pkl``, never overwriting the serving spool), and
-        every worker loads + re-verifies it into a pending slot.  Any
+        every worker loads + re-verifies it into a pending slot — all
+        workers at once: every prepare is sent before the first ack is
+        read.  Any
         rejection — a corrupted spool, a verification failure, a worker
         that dies twice — aborts the whole swap with
         :class:`PlanSwapError` and the old plan still serving on every
@@ -466,22 +468,23 @@ class ClusterService:
                                         protocol=pickle.HIGHEST_PROTOCOL),
                            site=SWAP_SPOOL_SITE)
 
-        prepared: List[int] = []
-        failure = None
-        for shard in range(self.num_workers):
-            ok, detail = self._swap_request(shard, _SWAP_PREPARE, version,
-                                            spool_path, revive_retry=True)
-            if not ok:
-                failure = f"shard {shard}: {detail}"
-                break
-            prepared.append(shard)
-        if failure is not None:
-            for shard in prepared:
-                self._swap_request(shard, _SWAP_ABORT, version, None,
-                                   revive_retry=False)
+        # Send every prepare before awaiting any ack, so the workers
+        # load and verify the new spool in parallel (as at start-up).
+        prepare = (_SWAP_PREPARE, version, spool_path)
+        sent = [self._send(worker, prepare) for worker in self._workers]
+        acks = [self._swap_ack(shard, prepare, sent[shard],
+                               revive_retry=True)
+                for shard in range(self.num_workers)]
+        failed = [f"shard {shard}: {detail}"
+                  for shard, (ok, detail) in enumerate(acks) if not ok]
+        if failed:
+            for shard, (ok, _) in enumerate(acks):
+                if ok:
+                    self._swap_request(shard, _SWAP_ABORT, version, None,
+                                       revive_retry=False)
             raise PlanSwapError(
                 f"swap v{version} aborted; every worker still serves "
-                f"the previous plan ({failure})")
+                f"the previous plan ({'; '.join(failed)})")
 
         # Point of no return: revivals from here on load the new spool.
         self._plan_path = spool_path
@@ -499,18 +502,25 @@ class ClusterService:
     def _swap_request(self, shard: int, tag: str, swap_id: int,
                       spool_path: Optional[str], revive_retry: bool
                       ) -> Tuple[bool, str]:
-        """Send one swap message and await its ack.
+        """Send one swap message and await its ack (see :meth:`_swap_ack`)."""
+        message = (tag, swap_id, spool_path)
+        return self._swap_ack(shard, message,
+                              self._send(self._workers[shard], message),
+                              revive_retry)
+
+    def _swap_ack(self, shard: int, message: tuple, sent: bool,
+                  revive_retry: bool) -> Tuple[bool, str]:
+        """Await the ack of a swap ``message`` already sent to ``shard``
+        (``sent`` False: the send found the pipe dead).
 
         With ``revive_retry`` (the prepare phase) a *dead* worker is
         revived — from the still-old serving spool — and the message
         retried once.  An explicit ``_SWAP_ERR`` reply is never retried:
         it is a verification verdict, not a crash.
         """
-        worker = self._workers[shard]
-        message = (tag, swap_id, spool_path)
-        reply = None
-        if self._send(worker, message):
-            reply = self._swap_reply(worker, swap_id)
+        swap_id = message[1]
+        reply = (self._swap_reply(self._workers[shard], swap_id)
+                 if sent else None)
         if reply is None:
             if not revive_retry:
                 return False, "worker died"

@@ -140,6 +140,30 @@ class FrozenPlan:
     def table_t(self, value) -> None:
         self.programs["score"][0]["params"]["table_t"] = value
 
+    def __getstate__(self) -> dict:
+        """Pickle (spool, ``deepcopy``) without ``table_t``.
+
+        It is ``item_table.T`` — half of a large plan's bytes — so it is
+        left out and rebuilt by :meth:`__setstate__`.
+        """
+        state = self.__dict__.copy()
+        score = self.programs.get("score")
+        if score:
+            (entry,) = score
+            params = dict(entry["params"], table_t=None)
+            state["programs"] = dict(self.programs,
+                                     score=[dict(entry, params=params)])
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore, rebuilding ``table_t`` as a C-contiguous
+        ``item_table.T`` once ``item_table`` is an array again (a
+        quantized payload holds records until it is decoded)."""
+        self.__dict__.update(state)
+        if "score" in self.programs and isinstance(
+                getattr(self, "item_table", None), np.ndarray):
+            self.table_t = np.ascontiguousarray(self.item_table.T)
+
     @property
     def dim(self) -> int:
         return self.item_table.shape[1]

@@ -20,11 +20,13 @@ shared wherever the array was:
     in-range magnitudes, with absolute floor ``2**-24`` below the
     subnormal range.
 
-``table_t`` (the transposed scoring copy) is dropped entirely and
-rebuilt from ``item_table`` on load, and an attached ANN index is
-replaced by its build spec (seed + cluster count) and reconstructed
-deterministically from the dequantized table — both halve the payload
-without a second lossy copy that could drift from the table it mirrors.
+``table_t`` (the transposed scoring copy) is never quantized: plans
+pickle and copy without it and rebuild it from ``item_table``
+(:meth:`repro.serve.plan.FrozenPlan.__getstate__`), so the records are
+built from, and decoded through, that same state.  An attached ANN
+index is replaced by its build spec (seed + cluster count) and
+reconstructed deterministically from the dequantized table — neither
+ships a second lossy copy that could drift from the table it mirrors.
 
 :func:`dequantize_plan` restores a fully working plan and re-verifies
 it by probe execution (:mod:`repro.analysis.dataflow`).  Corrupted
@@ -42,7 +44,7 @@ the ``worker-boundary`` rule; ``ClusterService`` dequantizes on load.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -156,15 +158,9 @@ class QuantizedPlan:
 
     def weights(self) -> Dict[str, QuantizedArray]:
         """Path -> record map over every quantized weight."""
-        found: Dict[str, QuantizedArray] = {}
-
-        def visit(obj, path):
-            if isinstance(obj, QuantizedArray):
-                found[path] = obj
-            return obj
-
-        _walk(self.payload, visit, self.plan_name)
-        return found
+        return {path: value
+                for path, value in _leaves(self.payload, self.plan_name)
+                if isinstance(value, QuantizedArray)}
 
     def nbytes(self) -> int:
         records = {id(qa): qa for qa in self.weights().values()}
@@ -172,17 +168,14 @@ class QuantizedPlan:
 
     def dequantize(self, verify: bool = True):
         """Reconstruct the servable plan; verify unless told not to."""
-        plan = copy.deepcopy(self.payload)
-
-        def visit(obj, path):
-            if isinstance(obj, QuantizedArray):
-                return dequantize_array(obj, path=path,
-                                        plan=self.plan_name)
-            return obj
-
-        _walk(plan, visit, self.plan_name)
-        for holder in _table_holders(plan):
-            holder.table_t = np.ascontiguousarray(holder.item_table.T)
+        decoded = {}
+        for path, qa in self.weights().items():
+            if id(qa) not in decoded:
+                decoded[id(qa)] = dequantize_array(qa, path=path,
+                                                   plan=self.plan_name)
+        # Copying through the decoded records rebuilds table_t on the
+        # way (FrozenPlan.__setstate__).
+        plan = copy.deepcopy(self.payload, decoded)
         if self.ann_spec is not None:
             from .plan import attach_ann_index
             attach_ann_index(plan, **self.ann_spec, verify=False)
@@ -197,92 +190,67 @@ class QuantizedPlan:
 
 
 def quantize_plan(plan, mode: str) -> QuantizedPlan:
-    """Quantize every float weight array reachable from ``plan``."""
+    """Quantize every float weight array reachable from ``plan``.
+
+    Each distinct array is encoded once; the payload is a copy of the
+    plan in which every reference to it holds the shared record.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown quantization mode {mode!r}; "
                          f"expected one of {sorted(MODES)}")
     if not getattr(plan, "supports_encode", False):
         raise ValueError("cannot quantize a fallback plan: it wraps a "
                          "live model graph, not weight tables")
-    clone = copy.deepcopy(plan)
-    ann_spec = None
-    index = getattr(clone, "ann_index", None)
-    if index is not None:
-        ann_spec = index.spec()
-        clone.ann_index = None
-    for holder in _table_holders(clone):
-        holder.table_t = None
-
-    def visit(obj, path):
-        if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-            return quantize_array(obj, mode)
-        return obj
-
-    _walk(clone, visit, type(plan).__name__)
-    return QuantizedPlan(clone, mode, type(plan).__name__, ann_spec)
+    index = getattr(plan, "ann_index", None)
+    skip = () if index is None else (index,)
+    # deepcopy's memo maps each original to its replacement: every
+    # float array to its record, the live index to None.
+    memo = {id(obj): None for obj in skip}
+    for _, value in _leaves(plan, type(plan).__name__, skip):
+        if (isinstance(value, np.ndarray) and value.dtype.kind == "f"
+                and id(value) not in memo):
+            memo[id(value)] = quantize_array(value, mode)
+    return QuantizedPlan(copy.deepcopy(plan, memo), mode,
+                         type(plan).__name__,
+                         None if index is None else index.spec())
 
 
-def _walk(root, visit, root_path: str) -> None:
-    """Depth-first in-place rewrite of a plan object graph.
+def _leaves(root, root_path: str, skip=()) -> Iterator[Tuple[str, object]]:
+    """Depth-first ``(path, value)`` over a plan's pickled state.
 
-    ``visit(value, path)`` may return a replacement for any leaf;
-    containers (dicts, lists, plan-object ``__dict__``s) are rewritten
-    in place.  A replaced leaf is visited once: every later reference
-    to it gets the same replacement.  Tuples are treated as immutable
-    leaves-of-leaves (plan metadata like ``masked_columns`` — never
-    weight storage).
+    Containers (dicts, lists, plan objects — through their
+    ``__getstate__``, so ``table_t`` is never reached) are entered once;
+    every other value, records included, is yielded at each path that
+    reaches it.  Tuples are leaves (plan metadata like
+    ``masked_columns``, never weight storage); objects in ``skip`` are
+    not entered.
     """
-    seen = set()
-    replaced = {}   # id -> (original, replacement); keeps ids unique
+    # Holds every entered container, so the id of a temporary state
+    # dict is never reused (and mistaken for seen) during the walk.
+    seen = {id(obj): obj for obj in skip}
 
-    def rewrite(container, key, value, path):
-        replaced = step(value, path)
-        if replaced is not value:
-            container[key] = replaced
+    def visit(value, path):
+        if isinstance(value, (dict, list)) or (
+                _is_plan_object(value)
+                and not isinstance(value, QuantizedArray)):
+            if id(value) in seen:
+                return
+            seen[id(value)] = value
+            if isinstance(value, list):
+                items = ((f"{path}[{pos}]", v) for pos, v in enumerate(value))
+            else:
+                state = value if isinstance(value, dict) \
+                    else value.__getstate__()
+                items = ((f"{path}.{key}", v) for key, v in state.items())
+            for child_path, child in items:
+                yield from visit(child, child_path)
+        else:
+            yield path, value
 
-    def step(value, path):
-        if id(value) in replaced:
-            return replaced[id(value)][1]
-        out = visit(value, path)
-        if out is not value:
-            replaced[id(value)] = (value, out)
-            return out
-        if id(value) in seen:
-            return value
-        if isinstance(value, dict):
-            seen.add(id(value))
-            for key in list(value):
-                rewrite(value, key, value[key], f"{path}.{key}")
-        elif isinstance(value, list):
-            seen.add(id(value))
-            for pos in range(len(value)):
-                rewrite(value, pos, value[pos], f"{path}[{pos}]")
-        elif _is_plan_object(value):
-            seen.add(id(value))
-            attrs = vars(value)
-            for key in list(attrs):
-                rewrite(attrs, key, attrs[key], f"{path}.{key}")
-        return value
-
-    step(root, root_path)
+    return visit(root, root_path)
 
 
 def _is_plan_object(value) -> bool:
     module = type(value).__module__ or ""
     return module.startswith("repro.") and hasattr(value, "__dict__") \
         and not callable(value)
-
-
-def _table_holders(plan) -> List:
-    """Every nested plan object carrying an ``item_table``/``table_t``
-    scoring pair (the plan itself plus e.g. an SSDRec backbone)."""
-    holders = []
-
-    def visit(obj, path):
-        if _is_plan_object(obj) and hasattr(obj, "table_t") \
-                and hasattr(obj, "item_table"):
-            holders.append(obj)
-        return obj
-
-    _walk(plan, visit, "plan")
-    return holders

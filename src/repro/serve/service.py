@@ -170,6 +170,7 @@ class RecommendService:
         #: lineage probe keeps long-session users on the cheap path.
         self._user_state: OrderedDict = OrderedDict()
         self._pending: List[Tuple[Optional[int], tuple]] = []
+        self._scores = np.empty((0, 0), dtype=np.float64)
         self.stats = ServiceStats()
 
     # ------------------------------------------------------------------
@@ -383,8 +384,20 @@ class RecommendService:
 
     # ------------------------------------------------------------------
     def _score(self, reprs: np.ndarray) -> np.ndarray:
+        """Score into one ``(B, V)`` buffer reused across flushes.
+
+        A fresh buffer per flush is large (7.7 MB for 32 rows of a 30k
+        catalog), and whether the allocator keeps such blocks or returns
+        them to the OS, to be faulted in page by page on the next flush,
+        depends on what the process allocated before; reusing one makes
+        the steady state independent of that history.  Callers copy what
+        they keep before the next flush.
+        """
         fault_point("serve.score")
-        return self.plan.score(reprs)
+        rows, vocab = reprs.shape[0], self.plan.vocab_size
+        if self._scores.shape[0] < rows or self._scores.shape[1] != vocab:
+            self._scores = np.empty((rows, vocab), dtype=np.float64)
+        return self.plan.score(reprs, out=self._scores[:rows])
 
     def _encode_chunk(self, rows) -> Tuple[np.ndarray, Optional[list]]:
         fault_point("serve.encode")

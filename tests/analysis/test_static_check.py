@@ -662,10 +662,21 @@ class TestBoundedMemoryRule:
 
         from repro.analysis.lint import STREAMING_MODULES
         from repro.data import DataLoader, ExampleStream, leave_one_out_split
-        for obj in (leave_one_out_split, ExampleStream, DataLoader):
+        from repro.graph import build_transitional, interaction_matrix
+        for obj in (leave_one_out_split, ExampleStream, DataLoader,
+                    build_transitional, interaction_matrix):
             path = Path(inspect.getsourcefile(obj))
             assert path.relative_to(PACKAGE_ROOT).as_posix() in \
                 STREAMING_MODULES, obj.__name__
+
+    def test_flags_the_graph_module(self, tmp_path):
+        root = write_tree(tmp_path / "repro", {"graph/relations.py": """
+            def bad(store):
+                return store.items.tolist()
+        """})
+        violations = run_lint(root, rules=["bounded-memory"])
+        assert [(v.path.endswith("graph/relations.py"), v.line)
+                for v in violations] == [(True, 3)]
 
 
 class TestCliLintSubcommand:

@@ -185,3 +185,63 @@ class TestFullGraph:
         g2 = build_multi_relation_graph(ds)
         assert (g1.transitional != g2.transitional).nnz == 0
         assert (g1.similar_users != g2.similar_users).nnz == 0
+
+
+class TestValidate:
+    """Each Sec. III-A invariant, broken on purpose, fails ``validate``."""
+
+    @pytest.fixture
+    def graph(self):
+        graph = build_multi_relation_graph(generate("beauty", seed=0,
+                                                    scale=0.3))
+        graph.validate()
+        return graph
+
+    @staticmethod
+    def _with(matrix, pairs):
+        out = matrix.tolil(copy=True)
+        for i, j in pairs:
+            out[i, j] = 1.0
+        return out.tocsr()
+
+    def test_incompatible_pair_with_transitional_edge(self, graph):
+        i, j = (int(x[0]) for x in graph.transitional.nonzero())
+        graph.incompatible = self._with(graph.incompatible,
+                                        [(i, j), (j, i)])
+        with pytest.raises(AssertionError, match="transitional edge"):
+            graph.validate()
+
+    def test_asymmetric_incompatible(self, graph):
+        linked = (graph.transitional + graph.transitional.T
+                  + graph.incompatible).tocsr()
+        i = 1
+        j = next(j for j in range(2, graph.num_items + 1)
+                 if linked[i, j] == 0)
+        graph.incompatible = self._with(graph.incompatible, [(i, j)])
+        with pytest.raises(AssertionError, match="symmetric"):
+            graph.validate()
+
+    def test_dissimilar_pair_that_co_interacted(self, graph):
+        users = graph.interactions[:, 1].nonzero()[0]
+        u, v = int(users[0]), int(users[1])
+        graph.dissimilar_users = self._with(graph.dissimilar_users,
+                                            [(u, v), (v, u)])
+        with pytest.raises(AssertionError, match="co-interacted"):
+            graph.validate()
+
+    def test_checks_survive_optimized_python(self):
+        import subprocess
+        import sys
+        code = (
+            "from repro.data import generate\n"
+            "from repro.graph import build_multi_relation_graph\n"
+            "g = build_multi_relation_graph(generate('beauty', seed=0, "
+            "scale=0.2))\n"
+            "g.incompatible = g.incompatible.tolil()\n"
+            "g.incompatible[1, 2] = 1.0\n"
+            "g.incompatible = g.incompatible.tocsr()\n"
+            "g.validate()\n")
+        result = subprocess.run([sys.executable, "-O", "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode != 0
+        assert "AssertionError" in result.stderr

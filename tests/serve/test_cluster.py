@@ -321,6 +321,29 @@ class TestPlanHotSwap:
                 np.testing.assert_array_equal(g.items, w.items)
                 assert g.scores.tobytes() == w.scores.tobytes()
 
+    def test_every_shard_prepares_before_the_first_ack_is_read(
+            self, sasrec_plan, new_plan, monkeypatch):
+        """The workers load and verify the new spool in parallel: when
+        the front-end reads its first prepare ack, every worker has
+        already received its prepare (and answers without being sent
+        anything more)."""
+        with ClusterService(sasrec_plan, num_workers=3, k=5,
+                            cache_size=0) as cluster:
+            cluster.recommend_many(random_requests(
+                np.random.default_rng(17), 6))
+            reply = cluster._swap_reply
+            answered = []
+
+            def first_read_sees_all(worker, swap_id):
+                if not answered:
+                    answered.extend(w.conn.poll(30.0)
+                                    for w in cluster._workers)
+                return reply(worker, swap_id)
+
+            monkeypatch.setattr(cluster, "_swap_reply", first_read_sees_all)
+            assert cluster.swap_plan(new_plan) == 1
+            assert answered == [True, True, True]
+
     def test_corrupt_spool_aborts_and_keeps_old_plan(self, sasrec_plan,
                                                      new_plan):
         from repro.resilience import active_plan

@@ -173,3 +173,36 @@ class TestCorruptionDetection:
                             np.ones((1, 1)))
         with pytest.raises(PlanVerificationError, match="int5"):
             dequantize_array(qa, path="w")
+
+
+class TestPlanPickle:
+    """Plans pickle without ``table_t`` and rebuild it on load."""
+
+    def test_pickle_drops_and_rebuilds_table_t(self):
+        import copy
+        import pickle
+
+        from repro.models import SASRec
+        model = SASRec(num_items=10_000, dim=32, max_len=MAX_LEN,
+                       rng=np.random.default_rng(0))
+        plan = freeze(model)
+        payload = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
+        # The plain attribute dict still carries table_t: the payload
+        # is about half of it.
+        with_table_t = pickle.dumps(plan.__dict__,
+                                    protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(payload) < 0.55 * len(with_table_t)
+        for restored in (pickle.loads(payload), copy.deepcopy(plan)):
+            assert restored.table_t.flags["C_CONTIGUOUS"]
+            assert restored.table_t.dtype == plan.table_t.dtype
+            assert restored.table_t.tobytes() == plan.table_t.tobytes()
+            items = np.arange(1, 11).reshape(2, 5)
+            np.testing.assert_array_equal(restored.forward(items),
+                                          plan.forward(items))
+        # Pickling leaves the live plan's table untouched.
+        assert plan.table_t is plan.programs["score"][0]["params"]["table_t"]
+        assert plan.table_t is not None
+
+    def test_quantized_payload_holds_no_table_t_record(self):
+        quantized = quantize_plan(gru_plan(), "int8")
+        assert not any("table_t" in path for path in quantized.weights())

@@ -79,6 +79,27 @@ class TestBatchingEquivalence:
             RecommendService(gru_plan).enqueue(1, [])
 
 
+class TestScoreBuffer:
+    def test_reused_buffer_never_leaks_into_earlier_results(self,
+                                                            sasrec_plan):
+        """Flushes score into one reused buffer; what a flush returned
+        stays intact after later flushes of other sizes, and equals a
+        plan forward of its own."""
+        rng = np.random.default_rng(21)
+        service = RecommendService(sasrec_plan, k=5, cache_size=0)
+        batches = [random_requests(rng, size) for size in (6, 2, 9, 4)]
+        answers = [service.recommend_many(batch) for batch in batches]
+        kept = [[rec.scores.copy() for rec in answer] for answer in answers]
+        for answer, copies in zip(answers, kept):
+            for rec, scores in zip(answer, copies):
+                assert rec.scores.tobytes() == scores.tobytes()
+        fresh = RecommendService(sasrec_plan, k=5, cache_size=0)
+        for batch, answer in zip(batches, answers):
+            for rec, alone in zip(answer, fresh.recommend_many(batch)):
+                np.testing.assert_array_equal(rec.items, alone.items)
+                assert rec.scores.tobytes() == alone.scores.tobytes()
+
+
 class TestCache:
     def test_exact_repeat_hits_cache(self, sasrec_plan):
         service = RecommendService(sasrec_plan, k=5)
