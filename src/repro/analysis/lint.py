@@ -239,11 +239,12 @@ _DTYPE_ALLOCATORS = {"zeros": 2, "ones": 2, "empty": 2, "full": 3}
 #: Matmul-family ufuncs that read every input while writing ``out=``.
 _MATMUL_FAMILY = {"matmul", "dot", "tensordot", "einsum"}
 
-#: Out-of-core modules — the store, the one split and loader every
-#: backend runs through, and the Stage 1 graph construction that reads store
-#: windows: every pass must stay windowed, so whole-column
-#: materialisation patterns are banned outright.
-STREAMING_MODULES = ("data/store.py", "data/stream.py", "graph/relations.py")
+#: Out-of-core modules — the store, the windowed reads of any view, the
+#: one split and loader every backend runs through, and the Stage 1 graph
+#: construction that reads store windows: every pass must stay windowed,
+#: so whole-column materialisation patterns are banned outright.
+STREAMING_MODULES = ("data/store.py", "data/dataset.py", "data/stream.py",
+                     "graph/relations.py")
 
 #: Store column attributes whose bare (unsliced) materialisation would
 #: fault the entire mmap into RAM.

@@ -19,12 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Protocol, Sequence, runtime_checkable
+from typing import (Dict, Iterator, List, Protocol, Sequence, Tuple,
+                    runtime_checkable)
 
 import numpy as np
 from scipy import sparse
 
 PAD_ID = 0
+
+#: Default write-buffer / scan-window size in events (~24 MB resident
+#: across the three int64/uint8 event columns of a store window).
+DEFAULT_CHUNK_EVENTS = 1 << 20
 
 
 @runtime_checkable
@@ -151,10 +156,9 @@ class InteractionDataset:
         """Matrix ``A`` with A[u, v] = number of times u interacted with v.
 
         Shape ``(num_users + 1, num_items + 1)`` so ids index directly.
-        Built by :func:`repro.graph.relations.interaction_matrix`, which
-        reads any :class:`SequenceView` in bounded user windows.
+        Built by the module's :func:`interaction_matrix`, which reads any
+        :class:`SequenceView` in bounded user windows.
         """
-        from ..graph.relations import interaction_matrix
         return interaction_matrix(self)
 
     def item_popularity(self) -> np.ndarray:
@@ -183,3 +187,58 @@ class SequenceExample:
     user: int
     sequence: Sequence[int]
     target: int
+
+
+# ----------------------------------------------------------------------
+# windowed reads of any SequenceView
+def iter_csr_windows(indptr: np.ndarray, num_users: int,
+                     chunk_events: int = DEFAULT_CHUNK_EVENTS
+                     ) -> Iterator[Tuple[int, int, int, int]]:
+    """Yield ``(u0, u1, lo, hi)`` whole-user windows over a CSR indptr.
+
+    Each window covers users ``u0..u1-1`` owning events ``lo..hi-1``
+    and holds at most ``chunk_events`` events (more only when a single
+    user exceeds that alone, so progress is always made).
+    """
+    u0 = 1
+    while u0 <= num_users:
+        lo = int(indptr[u0])
+        u1 = int(np.searchsorted(indptr, lo + chunk_events,
+                                 side="right")) - 1
+        u1 = min(max(u1, u0 + 1), num_users + 1)
+        yield u0, u1, lo, int(indptr[u1])
+        u0 = u1
+
+
+def user_windows(view: SequenceView
+                 ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(u0, lengths, items)`` for windows of whole users.
+
+    ``lengths`` are users ``u0..u0+len(lengths)-1``'s sequence lengths
+    and ``items`` their events concatenated; a window holds at most
+    :data:`DEFAULT_CHUNK_EVENTS` events (more only for a single longer
+    user).
+    """
+    lengths = view.seq_lengths()
+    indptr = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    for u0, u1, _, _ in iter_csr_windows(indptr, view.num_users,
+                                         DEFAULT_CHUNK_EVENTS):
+        yield u0, lengths[u0:u1], view.user_items(u0, u1)
+
+
+def interaction_matrix(view: SequenceView) -> sparse.csr_matrix:
+    """Matrix ``A`` with ``A[u, v]`` = times user ``u`` interacted with ``v``.
+
+    Shape ``(num_users + 1, num_items + 1)`` so ids index directly (row
+    and column 0 stay empty).  Each window's counts are a COO sum
+    converted to canonical CSR; windows are added as CSR matrices.
+    """
+    shape = (view.num_users + 1, view.num_items + 1)
+    total = None
+    for u0, lengths, items in user_windows(view):
+        users = np.repeat(np.arange(u0, u0 + lengths.shape[0]), lengths)
+        part = sparse.coo_matrix((np.ones(items.shape[0]), (users, items)),
+                                 shape=shape).tocsr()
+        total = part if total is None else total + part
+    return sparse.csr_matrix(shape) if total is None else total

@@ -40,7 +40,8 @@ import numpy as np
 
 from ..resilience.atomic import (AtomicNpyColumnWriter, atomic_write_text,
                                  clean_stale_tmp, memmap_sha256)
-from .dataset import InteractionDataset
+from .dataset import (DEFAULT_CHUNK_EVENTS, InteractionDataset,
+                      iter_csr_windows)
 
 #: Column name -> little-endian dtype string recorded in the manifest.
 COLUMN_SPECS: Dict[str, str] = {
@@ -56,32 +57,9 @@ EVENT_COLUMNS = ("items", "timestamps", "noise_flags")
 MANIFEST_NAME = "manifest.json"
 STORE_FORMAT_VERSION = 1
 
-#: Default write-buffer / scan-window size in events (~24 MB resident
-#: across the three int64/uint8 event columns).
-DEFAULT_CHUNK_EVENTS = 1 << 20
-
 
 class StoreIntegrityError(RuntimeError):
     """A store directory is missing, incomplete, or fails digest checks."""
-
-
-def iter_csr_windows(indptr: np.ndarray, num_users: int,
-                     chunk_events: int = DEFAULT_CHUNK_EVENTS
-                     ) -> Iterator[Tuple[int, int, int, int]]:
-    """Yield ``(u0, u1, lo, hi)`` whole-user windows over a CSR indptr.
-
-    Each window covers users ``u0..u1-1`` owning events ``lo..hi-1``
-    and holds at most ``chunk_events`` events (more only when a single
-    user exceeds that alone, so progress is always made).
-    """
-    u0 = 1
-    while u0 <= num_users:
-        lo = int(indptr[u0])
-        u1 = int(np.searchsorted(indptr, lo + chunk_events,
-                                 side="right")) - 1
-        u1 = min(max(u1, u0 + 1), num_users + 1)
-        yield u0, u1, lo, int(indptr[u1])
-        u0 = u1
 
 
 def _column_site(column: str) -> str:

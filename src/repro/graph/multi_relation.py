@@ -27,11 +27,14 @@ import networkx as nx
 import numpy as np
 from scipy import sparse
 
-from ..data.dataset import SequenceView
+from ..data.dataset import SequenceView, interaction_matrix
 from ..data.preprocessing import split_by_count
-from ..data.store import DEFAULT_CHUNK_EVENTS
 from .relations import (build_dissimilar, build_incompatible, build_similar,
-                        build_transitional, interaction_matrix, prune_top_k)
+                        build_transitional, prune_top_k)
+
+#: Dissimilar pairs whose item rows :meth:`MultiRelationGraph.validate`
+#: gathers at a time for the co-interaction check.
+VALIDATE_BLOCK_PAIRS = 1 << 18
 
 
 @dataclass
@@ -73,7 +76,7 @@ class MultiRelationGraph:
             "dissimilar": self.dissimilar_users.nnz,
         }
 
-    def validate(self, block_pairs: int = 1 << 18) -> None:
+    def validate(self) -> None:
         """Check the structural invariants promised by Sec. III-A.
 
         Raises ``AssertionError`` (explicitly, so ``python -O`` keeps
@@ -84,8 +87,8 @@ class MultiRelationGraph:
         * a dissimilar pair co-interacted with an item.
 
         Every check is a sparse elementwise op; the co-interaction test
-        gathers both users' item rows for ``block_pairs`` dissimilar
-        pairs at a time, so no ``U x U`` product is formed.
+        gathers both users' item rows for :data:`VALIDATE_BLOCK_PAIRS`
+        dissimilar pairs at a time, so no ``U x U`` product is formed.
         """
         sym_t = self.transitional + self.transitional.T
         clash = self.incompatible.multiply(sym_t != 0).tocoo()
@@ -98,9 +101,9 @@ class MultiRelationGraph:
             raise AssertionError("incompatible matrix must be symmetric")
         dis = self.dissimilar_users.tocoo()
         items = (self.interactions > 0).astype(np.float64).tocsr()
-        for lo in range(0, dis.nnz, block_pairs):
-            rows = dis.row[lo:lo + block_pairs]
-            cols = dis.col[lo:lo + block_pairs]
+        for lo in range(0, dis.nnz, VALIDATE_BLOCK_PAIRS):
+            rows = dis.row[lo:lo + VALIDATE_BLOCK_PAIRS]
+            cols = dis.col[lo:lo + VALIDATE_BLOCK_PAIRS]
             shared = items[rows].multiply(items[cols]).getnnz(axis=1)
             if shared.any():
                 at = int(np.flatnonzero(shared)[0])
@@ -137,14 +140,13 @@ class MultiRelationGraph:
 
 def build_multi_relation_graph(view: SequenceView,
                                config: Optional[GraphConfig] = None,
-                               chunk_events: int = DEFAULT_CHUNK_EVENTS,
                                timings: Optional[Dict[str, float]] = None
                                ) -> MultiRelationGraph:
     """Construct all five relation types from raw interaction data.
 
     ``view`` is read in windows of whole users holding at most
-    ``chunk_events`` events; a view that fits one window yields exactly
-    the reference loops' matrices (:mod:`repro.graph.reference`).  When
+    :data:`~repro.data.dataset.DEFAULT_CHUNK_EVENTS` events; a view that
+    fits one window yields exactly the reference loops' matrices (:mod:`repro.graph.reference`).  When
     given, ``timings`` receives each relation's build seconds (pruning
     and symmetrization included), keyed like :meth:`relation_counts`.
     """
@@ -152,10 +154,9 @@ def build_multi_relation_graph(view: SequenceView,
     k = config.max_neighbors
 
     with _timed(timings, "interacted"):
-        interactions = interaction_matrix(view, chunk_events)
+        interactions = interaction_matrix(view)
     with _timed(timings, "transitional"):
-        transitional = build_transitional(view, config.transition_window,
-                                          chunk_events)
+        transitional = build_transitional(view, config.transition_window)
         if k:
             transitional = prune_top_k(transitional, k)
     with _timed(timings, "incompatible"):

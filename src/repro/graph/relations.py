@@ -5,11 +5,12 @@ in :mod:`repro.graph.reference` (same ``indptr``, ``indices`` and
 ``data``), without a Python loop per event, pair or edge and without a
 dense ``U x U`` or ``P x P`` array:
 
-* :func:`interaction_matrix` and :func:`build_transitional` read any
+* :func:`build_transitional` reads any
   :class:`~repro.data.dataset.SequenceView` — the in-memory
   ``InteractionDataset`` or the mmap ``InteractionStore`` — in windows
-  of whole users (``chunk_events`` events each).  Within a window the
-  transitional pairs are emitted in the loop's own ``(user, a, b)``
+  of whole users (:func:`repro.data.dataset.user_windows`, as
+  :func:`repro.data.dataset.interaction_matrix` does).  Within a window
+  the transitional pairs are emitted in the loop's own ``(user, a, b)``
   order and summed by the same ``coo_matrix`` conversion, so a view
   that fits one window gives the loop's bytes; several windows are
   summed as CSR matrices (values then agree to rounding).
@@ -34,58 +35,16 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from ..data.dataset import SequenceView
-from ..data.store import DEFAULT_CHUNK_EVENTS, iter_csr_windows
+from ..data.dataset import SequenceView, user_windows
 
 #: Multiply-adds per row block of a sparse product (~50 MB of
 #: intermediate at 12 bytes per output entry, usually far less).
 BLOCK_FLOPS = 1 << 22
 
 
-# ----------------------------------------------------------------------
-# windowed reads of a SequenceView
-def _user_windows(view: SequenceView,
-                      chunk_events: int = DEFAULT_CHUNK_EVENTS
-                      ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(u0, lengths, items)`` for windows of whole users.
-
-    ``lengths`` are users ``u0..u0+len(lengths)-1``'s sequence lengths
-    and ``items`` their events concatenated; a window holds at most
-    ``chunk_events`` events (more only for a single longer user).
-    """
-    lengths = view.seq_lengths()
-    indptr = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    for u0, u1, _, _ in iter_csr_windows(indptr, view.num_users,
-                                         chunk_events):
-        yield u0, lengths[u0:u1], view.user_items(u0, u1)
-
-
 def _csr(rows, cols, vals, shape) -> sparse.csr_matrix:
     """The loops' constructor: a COO sum converted to canonical CSR."""
     return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-
-
-def _add(total: Optional[sparse.csr_matrix],
-         part: sparse.csr_matrix) -> sparse.csr_matrix:
-    return part if total is None else total + part
-
-
-def interaction_matrix(view: SequenceView,
-                       chunk_events: int = DEFAULT_CHUNK_EVENTS
-                       ) -> sparse.csr_matrix:
-    """Matrix ``A`` with ``A[u, v]`` = times user ``u`` interacted with ``v``.
-
-    Shape ``(num_users + 1, num_items + 1)`` so ids index directly (row
-    and column 0 stay empty).
-    """
-    shape = (view.num_users + 1, view.num_items + 1)
-    total = None
-    for u0, lengths, items in _user_windows(view, chunk_events):
-        users = np.repeat(np.arange(u0, u0 + lengths.shape[0]), lengths)
-        total = _add(total, _csr(users, items, np.ones(items.shape[0]),
-                                 shape))
-    return sparse.csr_matrix(shape) if total is None else total
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +76,7 @@ def _transition_pairs(lengths: np.ndarray, items: np.ndarray,
     return source[keep], target[keep], (n_a - dist[keep]) / n_a
 
 
-def build_transitional(view: SequenceView, window: Optional[int] = None,
-                       chunk_events: int = DEFAULT_CHUNK_EVENTS
+def build_transitional(view: SequenceView, window: Optional[int] = None
                        ) -> sparse.csr_matrix:
     """Build the weighted directed transitional-relation matrix.
 
@@ -131,10 +89,11 @@ def build_transitional(view: SequenceView, window: Optional[int] = None,
     """
     size = view.num_items + 1
     total = None
-    for _, lengths, items in _user_windows(view, chunk_events):
+    for _, lengths, items in user_windows(view):
         rows, cols, vals = _transition_pairs(lengths, items, window)
         if rows.shape[0]:
-            total = _add(total, _csr(rows, cols, vals, (size, size)))
+            part = _csr(rows, cols, vals, (size, size))
+            total = part if total is None else total + part
     return sparse.csr_matrix((size, size)) if total is None else total
 
 

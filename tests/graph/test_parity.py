@@ -15,6 +15,7 @@ from scipy import sparse
 
 from repro.data import (InteractionDataset, generate, generate_to_store,
                         open_store, write_store_from_dataset)
+from repro.data import dataset as data_dataset
 from repro.experiments.config import SCALES
 from repro.graph import (GraphConfig, build_dissimilar, build_incompatible,
                          build_multi_relation_graph, build_similar,
@@ -84,13 +85,15 @@ def test_scale_profile_store_matches_loops(tmp_path):
 
 
 @pytest.mark.parametrize("window", (5, None))
-def test_several_user_windows_agree_to_rounding(views, window):
+def test_several_user_windows_agree_to_rounding(views, monkeypatch, window):
+    monkeypatch.setattr(data_dataset, "DEFAULT_CHUNK_EVENTS", 500)
     dataset, store = views("ml-1m", SCALES["smoke"].dataset_scale)
     config = GraphConfig(transition_window=window)
     expected = reference.build_multi_relation_graph(dataset, config)
     assert dataset.num_interactions > 4 * 500
+    assert len(list(data_dataset.user_windows(store))) > 4
     for view in (dataset, store):
-        got = build_multi_relation_graph(view, config, chunk_events=500)
+        got = build_multi_relation_graph(view, config)
         for relation in RELATIONS:
             want, have = (getattr(expected, relation),
                           getattr(got, relation))

@@ -7,7 +7,7 @@ from scipy import sparse
 from repro.data import InteractionDataset, generate
 from repro.graph import (GraphConfig, build_dissimilar, build_incompatible,
                          build_multi_relation_graph, build_similar,
-                         build_transitional, prune_top_k)
+                         build_transitional, multi_relation, prune_top_k)
 
 
 def make_dataset(sequences, num_items=None):
@@ -221,7 +221,14 @@ class TestValidate:
         with pytest.raises(AssertionError, match="symmetric"):
             graph.validate()
 
-    def test_dissimilar_pair_that_co_interacted(self, graph):
+    @pytest.mark.parametrize("block_pairs", (None, 7))
+    def test_dissimilar_pair_that_co_interacted(self, graph, monkeypatch,
+                                                block_pairs):
+        if block_pairs is not None:
+            monkeypatch.setattr(multi_relation, "VALIDATE_BLOCK_PAIRS",
+                                block_pairs)
+            graph.validate()
+            assert graph.dissimilar_users.nnz > 2 * block_pairs
         users = graph.interactions[:, 1].nonzero()[0]
         u, v = int(users[0]), int(users[1])
         graph.dissimilar_users = self._with(graph.dissimilar_users,

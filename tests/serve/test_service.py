@@ -88,8 +88,11 @@ class TestScoreBuffer:
         rng = np.random.default_rng(21)
         service = RecommendService(sasrec_plan, k=5, cache_size=0)
         batches = [random_requests(rng, size) for size in (6, 2, 9, 4)]
-        answers = [service.recommend_many(batch) for batch in batches]
-        kept = [[rec.scores.copy() for rec in answer] for answer in answers]
+        answers, kept = [], []
+        for batch in batches:
+            answer = service.recommend_many(batch)
+            answers.append(answer)
+            kept.append([rec.scores.copy() for rec in answer])
         for answer, copies in zip(answers, kept):
             for rec, scores in zip(answer, copies):
                 assert rec.scores.tobytes() == scores.tobytes()
