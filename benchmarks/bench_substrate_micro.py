@@ -287,6 +287,27 @@ def test_micro_topk_full_argsort(benchmark):
     benchmark(lambda: np.argsort(-scores, axis=1, kind="stable")[:, :20])
 
 
+def _serving_scores():
+    """One ``serve-session`` flush: 32 rows over a 30,001-item catalog."""
+    return np.random.default_rng(6).normal(size=(32, 30001))
+
+
+@pytest.mark.benchmark(group="topk")
+def test_micro_topk_serving_chunk_bound(benchmark):
+    from repro.serve import topk_from_scores
+
+    scores = _serving_scores()
+    benchmark(lambda: topk_from_scores(scores, 10))
+
+
+@pytest.mark.benchmark(group="topk")
+def test_micro_topk_serving_argpartition(benchmark):
+    from repro.serve.retrieval import _topk_partition
+
+    scores = _serving_scores()
+    benchmark(lambda: _topk_partition(scores, 10))
+
+
 def _tie_heavy_scores():
     """Scores quantized to few distinct values: nearly every row has a
     tie group straddling the k-th boundary, so the tie re-rank path

@@ -44,14 +44,17 @@ class InconsistencyScorer(Module):
         """Bi-directional hidden state sequences ``(H^L, H^R)``."""
         return self.context_encoder(states)
 
-    def forward(self, states: Tensor, mask: np.ndarray) -> Tensor:
+    def forward(self, states: Tensor, mask: np.ndarray,
+                context: Optional[Tuple[Tensor, Tensor]] = None) -> Tensor:
         """Joint inconsistency distribution ``r_S`` over positions, (B, L).
 
         High values mark items whose global-relation representation clashes
         with the local sequential context and with the other items.
+        ``context`` is ``self.context(states)`` when the caller already
+        has it.
         """
         mask = np.asarray(mask, bool)
-        left, right = self.context(states)
+        left, right = self.context(states) if context is None else context
         # Eq. 9: sequentiality — strictest condition H^L ⊙ H^R ⊙ H.
         seq_energy = (left * right * states).sum(axis=-1)          # (B, L)
         # Eq. 10: similarity — mean dot product with the other items.
@@ -74,10 +77,11 @@ class InconsistencyScorer(Module):
         return joint / total
 
     def select(self, states: Tensor, mask: np.ndarray, tau: float,
-               hard: bool = True, deterministic: bool = False
+               hard: bool = True, deterministic: bool = False,
+               context: Optional[Tuple[Tensor, Tensor]] = None
                ) -> Tuple[Tensor, np.ndarray]:
         """Gumbel-selected position one-hot (Eq. 11) + integer positions."""
-        scores = self.forward(states, mask)
+        scores = self.forward(states, mask, context)
         masked_log = gumbel_log_logits(scores).masked_fill(
             ~np.asarray(mask, bool), NEG_INF)
         one_hot = gumbel_softmax(masked_log, tau=tau, hard=hard,
@@ -141,8 +145,12 @@ class SelfAugmentation(Module):
         batch, length, dim = states.shape
         tau = self.temperature.tau
 
+        # One Bi-LSTM pass feeds both the position scores (Eq. 9) and the
+        # item selector's queries (Eq. 12).
+        context = self.scorer.context(states)
         one_hot, positions = self.scorer.select(
-            states, mask, tau, deterministic=not self.training)
+            states, mask, tau, deterministic=not self.training,
+            context=context)
         lengths = mask.sum(axis=1)
         threshold = self.length_threshold if self.length_threshold is not None \
             else length + 1  # default: always augment
@@ -155,7 +163,7 @@ class SelfAugmentation(Module):
         gate = (one_hot * Tensor(chosen)).sum(axis=-1, keepdims=True)  # (B,1)
 
         # Eq. 12: item selector from the bi-directional context at t.
-        left_ctx, right_ctx = self.scorer.context(states)
+        left_ctx, right_ctx = context
         rows = np.arange(batch)
         q_left = left_ctx[rows, positions, :]    # (B, d)
         q_right = right_ctx[rows, positions, :]

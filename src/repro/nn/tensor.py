@@ -765,6 +765,18 @@ class Tensor:
         dtype = self.dtype
 
         def backward(grad):
+            if axis == 0:
+                # One flat bincount over (row, column) cells sums each
+                # cell's contributions in input order in float64, like
+                # ``np.add.at`` on a float64 table (so byte-equal to it),
+                # without its per-element dispatch.
+                rows = shape[0]
+                width = int(np.prod(shape[1:], dtype=np.int64))
+                cells = ((indices.reshape(-1, 1) % rows) * width
+                         + np.arange(width)).reshape(-1)
+                full = np.bincount(cells, weights=grad.reshape(-1),
+                                   minlength=rows * width)
+                return (full.reshape(shape).astype(dtype, copy=False),)
             full = np.zeros(shape, dtype=dtype)
             idx = [slice(None)] * len(shape)
             idx[axis] = indices

@@ -1,18 +1,34 @@
-"""Top-K retrieval from score matrices via partial sort.
+"""Exact top-K retrieval from score matrices.
 
-``topk_from_scores`` replaces a full ``argsort`` over the vocabulary with
-``np.argpartition`` (O(V) selection instead of O(V log V) sorting) and
-then orders only the K selected entries.  Tie handling is deterministic
-and matches the exact-tie semantics of
+``topk_from_scores`` never sorts a whole row.  It bounds the K-th best
+score from below, keeps only the entries that reach the bound, and
+sorts those.  Each row is split into ``CHUNK``-wide column chunks (the
+tail past the last whole chunk belongs to none) and one reduce pass
+takes every chunk's max.  Let ``b`` be the K-th largest chunk max: K
+distinct chunks each hold an entry ``>= b``, so the K-th best score is
+``>= b`` and every entry of the true top-K — the whole tie group at the
+K-th boundary included — is ``>= b``.  A second pass collects the
+entries ``>= b`` of the flattened buffer (usually a few times K per
+row), and one ``lexsort`` over those orders them.
+
+Two kinds of row take the ``np.argpartition`` path instead: every row
+when it has fewer than K whole chunks (small catalogs, ``k >= V``), and
+rows whose bound is not finite (fewer than K chunks with a non-NaN max,
+or a bound of ``±inf``).
+
+Tie handling is deterministic and matches the exact-tie semantics of
 :func:`repro.eval.metrics.ranks_from_scores`: items are ordered by
 ``(-score, index)``, so among equal scores the *lowest ids* win — the
 same total order under which ``ranks_from_scores`` counts every tied
-competitor against an item.
+competitor against an item.  NaN scores order last, as in ``lexsort``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: Column chunk width of the top-K bound (see the module docstring).
+CHUNK = 256
 
 
 def topk_from_scores(scores: np.ndarray, k: int) -> np.ndarray:
@@ -41,28 +57,52 @@ def topk_from_scores(scores: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     rows, vocab = scores.shape
     k = min(k, vocab)
-
-    if k >= vocab:
-        top = _ordered(scores, np.broadcast_to(np.arange(vocab),
-                                               scores.shape))
+    chunks = vocab // CHUNK
+    if chunks < k:
+        top = _topk_partition(scores, k)
     else:
-        part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-        top = _ordered(np.take_along_axis(scores, part, axis=1), part)
-        # argpartition picks an *arbitrary* subset of entries tied at the
-        # k-th score; the deterministic order wants the lowest indices of
-        # the boundary tie group.  Re-rank only the affected rows, in one
-        # batched lexsort rather than a per-row Python loop.
-        kth = np.take_along_axis(
-            scores, top[:, -1:], axis=1)              # (N, 1) boundary score
-        outside = (scores == kth).sum(axis=1) > (
-            np.take_along_axis(scores, top, axis=1) == kth).sum(axis=1)
-        bad = np.nonzero(outside)[0]
-        if bad.size:
-            sub = scores[bad]
-            idx = np.broadcast_to(np.arange(vocab), sub.shape)
-            order = np.lexsort((idx, -sub), axis=1)
-            top[bad] = order[:, :k]
+        cmax = scores[:, :chunks * CHUNK].reshape(
+            rows, chunks, CHUNK).max(axis=2)
+        # K-th largest chunk max: no top-K entry scores below it.
+        bound = -np.partition(-cmax, k - 1, axis=1)[:, k - 1]
+        fast = np.isfinite(bound)
+        keep = scores >= bound[:, None]
+        keep[~fast] = False
+        row, col = np.divmod(np.flatnonzero(keep), vocab)
+        order = np.lexsort((col, -scores[row, col], row))
+        # Each fast row has >= K candidates, grouped in row order.
+        first = np.searchsorted(row, np.flatnonzero(fast))
+        top = np.empty((rows, k), dtype=np.intp)
+        top[fast] = col[order[first[:, None] + np.arange(k)]]
+        if not fast.all():
+            top[~fast] = _topk_partition(scores[~fast], k)
     return top[0] if squeeze else top
+
+
+def _topk_partition(scores: np.ndarray, k: int) -> np.ndarray:
+    """``topk_from_scores`` by ``np.argpartition`` over whole rows."""
+    vocab = scores.shape[1]
+    if k >= vocab:
+        return _ordered(scores, np.broadcast_to(np.arange(vocab),
+                                                scores.shape))
+    part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
+    top = _ordered(np.take_along_axis(scores, part, axis=1), part)
+    # argpartition picks an *arbitrary* subset of entries tied at the
+    # k-th score; the deterministic order wants the lowest indices of
+    # the boundary tie group.  Re-rank only the affected rows, in one
+    # batched lexsort rather than a per-row Python loop.  A NaN k-th
+    # score never compares equal, so those rows are re-ranked too.
+    kth = np.take_along_axis(
+        scores, top[:, -1:], axis=1)              # (N, 1) boundary score
+    outside = (scores == kth).sum(axis=1) > (
+        np.take_along_axis(scores, top, axis=1) == kth).sum(axis=1)
+    bad = np.nonzero(outside | (kth[:, 0] != kth[:, 0]))[0]
+    if bad.size:
+        sub = scores[bad]
+        idx = np.broadcast_to(np.arange(vocab), sub.shape)
+        order = np.lexsort((idx, -sub), axis=1)
+        top[bad] = order[:, :k]
+    return top
 
 
 def _ordered(sel_scores: np.ndarray, sel_idx: np.ndarray) -> np.ndarray:

@@ -144,3 +144,60 @@ class TestSelfAugmentation:
         for _ in range(aug.temperature.anneal_every):
             aug.on_batch_end()
         assert aug.temperature.tau < start
+
+
+class TestSingleContextPass:
+    """``SelfAugmentation.forward`` runs the scorer's Bi-LSTM once and
+    feeds ``(H^L, H^R)`` to both the position and the item selector."""
+
+    def _forward(self, two_pass, monkeypatch):
+        if two_pass:
+            # Reference: the position selector recomputes its own context.
+            select = InconsistencyScorer.select
+            monkeypatch.setattr(
+                InconsistencyScorer, "select",
+                lambda self, *a, context=None, **kw: select(self, *a, **kw))
+        aug = SelfAugmentation(DIM, rng=np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        states = Tensor(rng.normal(size=(3, 6, DIM)), requires_grad=True)
+        mask = np.ones((3, 6), dtype=bool)
+        mask[0, :2] = False
+        table = Tensor(rng.normal(size=(20, DIM)), requires_grad=True)
+        result = aug(states, mask, table)
+        (result.states * Tensor(rng.normal(size=result.states.shape))
+         ).sum().backward()
+        grads = [states.grad, table.grad] + [p.grad
+                                             for p in aug.parameters()]
+        monkeypatch.undo()
+        return result, grads
+
+    def test_matches_the_two_pass_reference(self, monkeypatch):
+        one, one_grads = self._forward(False, monkeypatch)
+        two, two_grads = self._forward(True, monkeypatch)
+        np.testing.assert_array_equal(one.states.data, two.states.data)
+        np.testing.assert_array_equal(one.mask, two.mask)
+        np.testing.assert_array_equal(one.positions, two.positions)
+        np.testing.assert_array_equal(one.inserted_left, two.inserted_left)
+        np.testing.assert_array_equal(one.inserted_right,
+                                      two.inserted_right)
+        assert len(one_grads) == len(two_grads)
+        for got, want in zip(one_grads, two_grads):
+            # Only the summation order of the Bi-LSTM's incoming gradient
+            # changes (one backward of the sum vs two backwards).
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_one_lstm_pass_per_forward(self, monkeypatch):
+        import repro.nn.rnn as rnn
+
+        calls = []
+        lstm_sequence = rnn.lstm_sequence
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstm_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(rnn, "lstm_sequence", counting)
+        aug = SelfAugmentation(DIM, rng=np.random.default_rng(0))
+        aug(make_states(), np.ones((3, 6), dtype=bool),
+            Tensor(RNG.normal(size=(20, DIM))))
+        assert len(calls) == 1

@@ -224,6 +224,20 @@ class TestShapes:
         t.take(np.array([1, 1, 1]), axis=0).sum().backward()
         np.testing.assert_allclose(t.grad, np.array([[0, 0], [3, 3], [0, 0]], float))
 
+    @pytest.mark.parametrize("ids", [
+        np.array([3, 0, 3, 3, 5, 0, 1]),          # duplicates + padding id 0
+        np.array([[0, 2, 2], [4, 0, 2]]),         # multi-dimensional ids
+        np.array([], dtype=np.int64),             # empty index
+    ], ids=["duplicates", "2d", "empty"])
+    def test_take_grad_equals_add_at_reference(self, ids):
+        table = Tensor(RNG.normal(size=(6, 3, 2)), requires_grad=True)
+        out = table.take(ids, axis=0)
+        grad = RNG.normal(size=out.shape)
+        out.backward(grad)
+        expected = np.zeros((6, 3, 2))
+        np.add.at(expected, ids, grad)
+        np.testing.assert_array_equal(table.grad, expected)
+
     def test_masked_fill(self):
         t = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         mask = np.array([[True, False, False], [False, True, False]])
