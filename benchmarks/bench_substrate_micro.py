@@ -347,3 +347,78 @@ def test_micro_topk_tiebreak_batched(benchmark):
 def test_micro_topk_tiebreak_row_loop(benchmark):
     scores = _tie_heavy_scores()
     benchmark(lambda: _legacy_loop_tiebreak_topk(scores, 10))
+
+
+def _serving_plan():
+    """A bare plan over one ``serve-session`` catalog: 30,001 x 32."""
+    from repro.serve.plan import FrozenPlan
+
+    table = np.random.default_rng(7).normal(size=(30001, 32)) * 0.1
+    return FrozenPlan(table, max_len=30)
+
+
+def _score_and_select_f64(plan, reprs):
+    from repro.serve import topk_from_scores
+
+    scores = plan.score(reprs)
+    top = topk_from_scores(scores, 10)
+    return top, np.take_along_axis(scores, top, axis=1)
+
+
+@pytest.mark.benchmark(group="score-select-b1")
+def test_micro_score_select_b1_float64(benchmark):
+    plan = _serving_plan()
+    reprs = np.random.default_rng(8).normal(size=(1, 32))
+    benchmark(lambda: _score_and_select_f64(plan, reprs))
+
+
+@pytest.mark.benchmark(group="score-select-b1")
+def test_micro_score_select_b1_certified_float32(benchmark):
+    plan = _serving_plan()
+    reprs = np.random.default_rng(8).normal(size=(1, 32))
+    buffer = np.empty((1, plan.vocab_size), dtype=np.float32)
+    benchmark(lambda: plan.topk(reprs, 10, out=buffer))
+
+
+@pytest.mark.benchmark(group="score-select-b32")
+def test_micro_score_select_b32_float64(benchmark):
+    plan = _serving_plan()
+    reprs = np.random.default_rng(9).normal(size=(32, 32))
+    benchmark(lambda: _score_and_select_f64(plan, reprs))
+
+
+@pytest.mark.benchmark(group="score-select-b32")
+def test_micro_score_select_b32_certified_float32(benchmark):
+    plan = _serving_plan()
+    reprs = np.random.default_rng(9).normal(size=(32, 32))
+    buffer = np.empty((32, plan.vocab_size), dtype=np.float32)
+    benchmark(lambda: plan.topk(reprs, 10, out=buffer))
+
+
+def _append_inputs():
+    """Six cached SASRec KV states of ragged lengths (2-12 items) on a
+    ``serve-session``-shaped model, and one new item each."""
+    from repro.data.batching import pad_sequences
+    from repro.models import SASRec
+    from repro.serve import freeze
+
+    plan = freeze(SASRec(3000, dim=32, max_len=30,
+                         rng=np.random.default_rng(10)))
+    rng = np.random.default_rng(11)
+    seqs = [list(rng.integers(1, 3001, size=n)) for n in (2, 4, 5, 7, 9, 12)]
+    items, mask, _ = pad_sequences(seqs, max_len=None)
+    states = plan.split_states(plan.encode_tight_with_state(items, mask)[1])
+    return plan, states, list(rng.integers(1, 3001, size=len(seqs)))
+
+
+@pytest.mark.benchmark(group="append-batch")
+def test_micro_append_items_one_call(benchmark):
+    plan, states, items = _append_inputs()
+    benchmark(lambda: plan.append_items(states, items))
+
+
+@pytest.mark.benchmark(group="append-batch")
+def test_micro_append_items_six_one_row_calls(benchmark):
+    plan, states, items = _append_inputs()
+    benchmark(lambda: [plan.append_items([state], [item])
+                       for state, item in zip(states, items)])

@@ -35,15 +35,8 @@ working set (generation chunk + scoring block), far below what
 materializing the dataset in RAM would need.  Results, including the
 recorded (never silent) eval cap, land in ``BENCH_data.json``.
 
-Finally, the retrieval section exercises the clustered ANN index
-(``repro.serve.ann``) on a >= 100k-item synthetic catalog with mixture
-structure, sweeping ``nprobe`` and recording recall@10 (vs the exact
-``topk_from_scores`` oracle) against the scoring speedup — the gate
-demands some ``nprobe`` reach ``RETRIEVAL_RECALL_TARGET`` recall at
-``RETRIEVAL_SPEEDUP_TARGET``x — and checks that int8/fp16-quantized
-frozen plans reproduce the fp64 eval metrics on ml-100k within
-``QUANT_METRIC_TOL``.  Results land in ``BENCH_retrieval.json``;
-``--no-retrieval`` skips the section.
+The ANN retrieval and quantization gate is ``scripts/retrieval_smoke.py``
+(``BENCH_retrieval.json``).
 """
 
 from __future__ import annotations
@@ -75,20 +68,6 @@ SERVE_TARGET_SPEEDUP = 2.0
 SERVE_GATE_PROFILE = "ml-100k"
 SERVE_MODELS = ("SASRec", "SSDRec")
 SERVE_PROFILES = ("ml-100k", "beauty")
-
-# ANN retrieval gate: some swept nprobe must reach this recall@10 at
-# this speedup over exact scoring on the synthetic catalog.
-RETRIEVAL_RECALL_TARGET = 0.95
-RETRIEVAL_SPEEDUP_TARGET = 3.0
-RETRIEVAL_CATALOG = 120_000
-RETRIEVAL_DIM = 32
-RETRIEVAL_QUERIES = 256
-RETRIEVAL_NPROBES = (1, 2, 4, 8, 16, 32)
-
-# Quantized plans must reproduce fp64 eval metrics within this absolute
-# tolerance on the gate profile.
-QUANT_METRIC_TOL = 0.05
-QUANT_MODES = ("int8", "fp16")
 
 # --- out-of-core data substrate gate ---------------------------------
 # Peak child-process RSS allowed for the full-scale pipeline.  The
@@ -403,138 +382,6 @@ def runstore_section() -> tuple:
     return report, failures
 
 
-def synthetic_catalog(seed: int = 0):
-    """A >= 100k-item catalog with mixture-of-Gaussians structure.
-
-    Real item-embedding tables are clustered (genre, popularity band,
-    co-purchase community), which is exactly what the index exploits;
-    isotropic Gaussian noise is the worst case for any clustered index
-    and does not model trained embeddings.  Queries are drawn around
-    the same component centers.
-    """
-    rng = np.random.default_rng(seed)
-    components = 64
-    centers = rng.normal(size=(components, RETRIEVAL_DIM)) * 3.0
-    table = centers[rng.integers(0, components, size=RETRIEVAL_CATALOG)] \
-        + rng.normal(size=(RETRIEVAL_CATALOG, RETRIEVAL_DIM)) * 0.6
-    queries = centers[rng.integers(0, components,
-                                   size=RETRIEVAL_QUERIES)] \
-        + rng.normal(size=(RETRIEVAL_QUERIES, RETRIEVAL_DIM)) * 0.6
-    return table, queries
-
-
-def retrieval_section(rounds: int) -> tuple:
-    """ANN recall-vs-speedup sweep + quantized-plan metric parity.
-
-    Returns ``(report_dict, failures)``.  Fails unless some swept
-    ``nprobe`` reaches ``RETRIEVAL_RECALL_TARGET`` recall@10 at
-    ``RETRIEVAL_SPEEDUP_TARGET``x over exact scoring, and unless every
-    quantization mode stays within ``QUANT_METRIC_TOL`` of the fp64
-    metrics on the gate profile.
-    """
-    import os
-
-    from repro.eval import metric_report, recall_against_oracle
-    from repro.serve import topk_from_scores
-    from repro.serve.ann import build_ann_index
-
-    failures = []
-    table, queries = synthetic_catalog()
-
-    start = time.perf_counter()
-    index = build_ann_index(table, seed=0)
-    build_s = time.perf_counter() - start
-
-    def exact():
-        return topk_from_scores(queries @ table.T, 10)
-
-    oracle = exact()
-    exact_s = best_time(exact, rounds)
-    print(f"  catalog {RETRIEVAL_CATALOG:,} x {RETRIEVAL_DIM}, "
-          f"{index.num_clusters} clusters (built in {build_s:.2f}s); "
-          f"exact scoring {exact_s*1e3:.1f} ms / "
-          f"{RETRIEVAL_QUERIES} queries")
-
-    sweep = []
-    gate_met = False
-    for nprobe in RETRIEVAL_NPROBES:
-        items, _ = index.search(queries, 10, nprobe)
-        ann_s = best_time(lambda n=nprobe: index.search(queries, 10, n),
-                          rounds)
-        recall = recall_against_oracle(items, oracle)
-        speedup = exact_s / ann_s
-        ok = recall >= RETRIEVAL_RECALL_TARGET \
-            and speedup >= RETRIEVAL_SPEEDUP_TARGET
-        gate_met = gate_met or ok
-        sweep.append({"nprobe": nprobe, "recall_at_10": round(recall, 4),
-                      "ann_ms": round(ann_s * 1e3, 3),
-                      "speedup": round(speedup, 2),
-                      "meets_gate": ok})
-        print(f"  nprobe={nprobe:<3d} recall@10={recall:.4f} "
-              f"{ann_s*1e3:7.1f} ms  {speedup:5.2f}x"
-              f"{'  << gate point' if ok else ''}")
-    if not gate_met:
-        failures.append(
-            f"retrieval:no-nprobe-reaches-"
-            f"{RETRIEVAL_RECALL_TARGET}-recall-at-"
-            f"{RETRIEVAL_SPEEDUP_TARGET}x")
-
-    # --- quantized-plan metric parity on the gate profile -------------
-    os.environ.setdefault("REPRO_SCALE", "smoke")
-    from repro.eval import Evaluator
-    from repro.experiments.common import prepare
-    from repro.experiments.config import SCALES
-    from repro.registry import build, model_spec
-    from repro.serve import freeze, quantize_plan
-
-    scale = SCALES["smoke"]
-    prepared = prepare(SERVE_GATE_PROFILE, scale, seed=0)
-    model = build(model_spec("SASRec"), prepared, scale, rng=0)
-    plan = freeze(model)
-    evaluator = Evaluator(prepared.split.test,
-                          batch_size=scale.batch_size,
-                          max_len=prepared.max_len)
-    exact_metrics = metric_report(evaluator.ranks_frozen(plan), ks=(10,))
-    quant = {"profile": SERVE_GATE_PROFILE, "model": "SASRec",
-             "tolerance": QUANT_METRIC_TOL, "fp64": exact_metrics,
-             "modes": {}}
-    for mode in QUANT_MODES:
-        quantized = quantize_plan(plan, mode)
-        restored = quantized.dequantize(verify=True)
-        metrics = metric_report(evaluator.ranks_frozen(restored), ks=(10,))
-        drift = max(abs(metrics[key] - exact_metrics[key])
-                    for key in exact_metrics)
-        fp64_bytes = sum(
-            int(np.prod(qa.shape, dtype=np.int64)) * 8
-            for qa in quantized.weights().values())
-        quant["modes"][mode] = {
-            "metrics": metrics, "max_abs_drift": round(drift, 5),
-            "weight_bytes": quantized.nbytes(),
-            "fp64_weight_bytes": fp64_bytes,
-        }
-        print(f"  {mode}: HR@10 {metrics['HR@10']:.4f} "
-              f"(fp64 {exact_metrics['HR@10']:.4f}), max metric drift "
-              f"{drift:.4f}, {quantized.nbytes():,} weight bytes "
-              f"(fp64: {fp64_bytes:,})")
-        if drift > QUANT_METRIC_TOL:
-            failures.append(f"retrieval:{mode}-metric-drift-"
-                            f"{drift:.4f}>{QUANT_METRIC_TOL}")
-
-    report = {
-        "catalog_items": RETRIEVAL_CATALOG,
-        "dim": RETRIEVAL_DIM,
-        "queries": RETRIEVAL_QUERIES,
-        "num_clusters": index.num_clusters,
-        "build_seconds": round(build_s, 3),
-        "exact_ms": round(exact_s * 1e3, 3),
-        "recall_target": RETRIEVAL_RECALL_TARGET,
-        "speedup_target": RETRIEVAL_SPEEDUP_TARGET,
-        "sweep": sweep,
-        "quantization": quant,
-    }
-    return report, failures
-
-
 def data_worker(profile: str, root: Path) -> int:
     """Child-process body of the data gate: run the full out-of-core
     pipeline and print a single JSON line (timings, counts, metrics,
@@ -666,10 +513,6 @@ def main() -> int:
                         help="skip the frozen-plan serving benchmark/gate")
     parser.add_argument("--no-runstore", action="store_true",
                         help="skip the run-store cold/cached benchmark/gate")
-    parser.add_argument("--no-retrieval", action="store_true",
-                        help="skip the ANN retrieval + quantization gate")
-    parser.add_argument("--retrieval-json", type=Path,
-                        default=REPO_ROOT / "BENCH_retrieval.json")
     parser.add_argument("--epoch-scale", default="smoke",
                         help="REPRO_SCALE for the epoch timing (smoke/quick)")
     parser.add_argument("--baseline-epoch-json", type=Path, default=None,
@@ -747,12 +590,6 @@ def main() -> int:
         report["runstore"] = runstore_report
         failures.extend(runstore_failures)
         write_json_report(args.json, report)
-
-    if not args.no_retrieval:
-        print("\nANN retrieval benchmark (recall@10 vs scoring speedup)...")
-        retrieval_report, retrieval_failures = retrieval_section(rounds=3)
-        write_json_report(args.retrieval_json, retrieval_report)
-        failures.extend(retrieval_failures)
 
     if not args.no_data:
         print(f"\nout-of-core data gate ({args.data_profile}, "

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..serve.ann import DEFAULT_NPROBE
 from ..serve.program import run_step
+from ..serve.retrieval import topk_from_scores
 
 __all__ = [
     "PROBE_BATCHES", "PlanVerificationError", "StepTrace", "verify_plan",
@@ -165,6 +166,25 @@ def _check_ann(plan, reprs: np.ndarray) -> None:
             plan=f"{plan.model_name} ann") from exc
 
 
+def _check_topk(plan, env: dict) -> None:
+    """On plans whose ``topk`` selects from the float32 table, it must
+    pick, on the forward probe ``env``, the ids ``topk_from_scores``
+    picks from the score program's output.  (Other plans' ``topk`` is
+    ``score`` + ``topk_from_scores`` itself.)"""
+    k = min(10, plan.vocab_size)
+    if not plan.certifies(k):
+        return
+    try:
+        top, _ = plan.topk(env["rep"], k)
+        if not np.array_equal(top, topk_from_scores(env["scores"], k)):
+            raise ValueError("ids differ from topk_from_scores of the "
+                             "score program")
+    except Exception as exc:
+        raise PlanVerificationError(
+            f"topk: {type(exc).__name__}: {exc}",
+            plan=f"{plan.model_name} topk") from exc
+
+
 def verify_plan(plan) -> Optional[Dict[str, List[StepTrace]]]:
     """Run every program ``plan`` serves on the probe batches.
 
@@ -175,8 +195,11 @@ def verify_plan(plan) -> Optional[Dict[str, List[StepTrace]]]:
     ``append`` leaves (the positional steps' full-window shapes are the
     forward program's).  At every step the weights must be float64 and
     each output finite, of one dtype, and of one shape apart from axis
-    0 across the probes.  An attached ANN index is checked for geometry
-    and searched with the forward probe's representations.
+    0 across the probes.  On catalogs of at least K whole chunks,
+    ``plan.topk`` must select, from the forward probe's
+    representations, the ids ``topk_from_scores`` selects from its
+    scores.  An attached ANN index is checked for geometry and
+    searched with the forward probe's representations.
 
     Returns ``{program name: step trace}``, or None for fallback plans
     (a live model graph has no program to verify).  Raises
@@ -212,6 +235,7 @@ def verify_plan(plan) -> Optional[Dict[str, List[StepTrace]]]:
         run("readout", programs["readout"],
             [{key: env[key] for key in plan.state_names} for env in envs],
             f"{name} readout")
+    _check_topk(plan, forward[-1])
     if plan.ann_index is not None:
         _check_ann(plan, forward[-1]["rep"])
     return traces
@@ -222,11 +246,12 @@ def verify_plan(plan) -> Optional[Dict[str, List[StepTrace]]]:
 # ---------------------------------------------------------------------------
 
 def _weight_bytes(plan) -> int:
-    """Bytes of every distinct weight array the plan's programs (and its
-    ANN index) hold; steps share arrays across programs, each counts
-    once."""
+    """Bytes of every distinct weight array the plan's programs, its
+    float32 score table and its ANN index hold; steps share arrays
+    across programs, each counts once."""
     params = [entry["params"] for program in plan.programs.values()
               for entry in program]
+    params.append(vars(plan.table32))
     if plan.ann_index is not None:
         params.append(vars(plan.ann_index))
     arrays = {id(array): int(array.nbytes) for _, array in _arrays(params)}
@@ -242,9 +267,9 @@ def memory_footprint(plan, batch_sizes: Iterable[int] = (1, 64)
     ``activations[batch]`` reports the peak single-step
     output allocation (index + op named) and the total across all
     steps, both from the real output arrays.  ``weight_bytes`` sums
-    every distinct weight array the programs hold — ``item_table`` and
-    its transposed ``table_t`` count separately because both are
-    materialized.  None for fallback plans.
+    every distinct weight array the programs hold — ``item_table``, its
+    transposed ``table_t`` and the float32 ``table32`` copy count
+    separately because all are materialized.  None for fallback plans.
     """
     if not getattr(plan, "supports_encode", True):
         return None

@@ -152,6 +152,11 @@ FLOAT64_POLICY: Dict[str, str] = {
                          "boundary mirror the service's float64 layout"),
     "serve/load.py": ("latency accounting is float64 seconds; the plan "
                       "path reuses the serving float64 contract"),
+    "serve/retrieval.py": ("the certified float32 selection re-scores "
+                           "its candidates in float64 so served scores "
+                           "match the float64 score program; the float32 "
+                           "table copy is its opt-in, certified by an "
+                           "error bound"),
     "serve/ann.py": ("the MIPS index packs float64 copies of the frozen "
                      "item table so candidate scores match the exact "
                      "float64 oracle bitwise on probed clusters"),

@@ -23,7 +23,7 @@ from ..graph.multi_relation import MultiRelationGraph
 from ..nn import Embedding, Linear, Module, Tensor
 from ..nn import functional as F
 from ..nn.module import Parameter
-from .sparse_ops import row_normalize, sparse_matmul
+from .sparse_ops import SparseRelation, row_normalize, sparse_matmul
 from ..nn.rng import resolve_rng
 
 
@@ -68,14 +68,18 @@ class GlobalRelationEncoder(Module):
         self.user_embedding = Embedding(graph.num_users + 1, dim,
                                         padding_idx=0, rng=self.rng)
 
-        # Fixed, normalized relation operators.
-        self._trans_in = row_normalize(graph.transitional.T)    # agg incoming
-        self._trans_out = row_normalize(graph.transitional)     # agg outgoing
-        self._incomp = row_normalize(graph.incompatible)
-        self._uv = row_normalize(graph.interactions)            # user->items
-        self._vu = row_normalize(graph.interactions.T)          # item->users
-        self._uu_sim = row_normalize(graph.similar_users)
-        self._uu_dis = row_normalize(graph.dissimilar_users)
+        # Fixed, normalized relation operators (each with its transpose
+        # for the backward, built once here).
+        def relation(matrix):
+            return SparseRelation(row_normalize(matrix))
+
+        self._trans_in = relation(graph.transitional.T)    # agg incoming
+        self._trans_out = relation(graph.transitional)     # agg outgoing
+        self._incomp = relation(graph.incompatible)
+        self._uv = relation(graph.interactions)            # user->items
+        self._vu = relation(graph.interactions.T)          # item->users
+        self._uu_sim = relation(graph.similar_users)
+        self._uu_dis = relation(graph.dissimilar_users)
 
         # Eq. 2: attention projections for incoming/outgoing aggregates.
         self.attn_in = Linear(dim, dim, bias=False, rng=self.rng)

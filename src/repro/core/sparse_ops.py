@@ -14,19 +14,35 @@ from scipy import sparse
 from ..nn.tensor import Tensor, ensure_tensor
 
 
-def sparse_matmul(matrix: sparse.spmatrix, x: Tensor) -> Tensor:
+class SparseRelation:
+    """A constant sparse operator in CSR form with its transpose built
+    once, for :func:`sparse_matmul`'s backward (``matrix.T @ grad``)."""
+
+    def __init__(self, matrix: sparse.spmatrix):
+        self.matrix = matrix.tocsr()
+        self.transposed = self.matrix.T.tocsr()
+
+    @property
+    def shape(self) -> tuple:
+        return self.matrix.shape
+
+
+def sparse_matmul(matrix, x: Tensor) -> Tensor:
     """Differentiable ``matrix @ x`` with a constant sparse ``matrix``.
 
     Gradient w.r.t. ``x`` is ``matrix.T @ grad``; ``matrix`` itself never
-    receives gradients (relation weights are data, not parameters).
+    receives gradients (relation weights are data, not parameters).  A
+    :class:`SparseRelation` brings its transpose; a plain sparse matrix
+    is transposed on every call.
     """
     x = ensure_tensor(x)
     if matrix.shape[1] != x.shape[0]:
         raise ValueError(
             f"shape mismatch: {matrix.shape} @ {x.shape}")
-    csr = matrix.tocsr()
-    out_data = csr @ x.data
-    transposed = csr.T.tocsr()
+    if not isinstance(matrix, SparseRelation):
+        matrix = SparseRelation(matrix)
+    out_data = matrix.matrix @ x.data
+    transposed = matrix.transposed
 
     def backward(grad):
         return (transposed @ grad,)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from ..core.sparse_ops import row_normalize, sparse_matmul
+from ..core.sparse_ops import SparseRelation, row_normalize, sparse_matmul
 from ..data.batching import Batch
 from ..data.dataset import PAD_ID, InteractionDataset
 from ..graph.relations import build_transitional
@@ -52,11 +52,12 @@ class DCRec(SequenceDenoiser):
         if dataset is not None:
             adjacency = build_transitional(dataset, window=5)
             adjacency = adjacency + adjacency.T
-            self._adjacency = row_normalize(adjacency)
+            self._adjacency = SparseRelation(row_normalize(adjacency))
             popularity = dataset.item_popularity().astype(np.float64)
         else:
             size = num_items + 1
-            self._adjacency = sparse.identity(size, format="csr")
+            self._adjacency = SparseRelation(
+                sparse.identity(size, format="csr"))
             popularity = np.ones(num_items + 1)
         # Conformity weight: popular targets -> lower weight (debiasing).
         pop = popularity / max(popularity.max(), 1.0)

@@ -37,7 +37,7 @@ def recall_against_oracle(approx_items: np.ndarray,
     ``exact_items`` is the oracle top-K (``topk_from_scores`` over the
     full catalog); ``approx_items`` the candidate lists under test (ANN
     probes — ``-1`` padding entries are ignored).  The retrieval gate in
-    ``scripts/perf_smoke.py`` reports this as recall@k.
+    ``scripts/retrieval_smoke.py`` reports this as recall@k.
     """
     approx_items = np.asarray(approx_items)
     exact_items = np.asarray(exact_items)

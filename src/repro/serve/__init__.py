@@ -8,7 +8,8 @@ shards users across N worker processes for horizontal scale (the
 ``worker-boundary`` lint rule keeps the pipe protocol to plain NumPy +
 primitives).  See docs/performance.md ("Serving", "Sharded serving")
 for the design and ``repro.cli serve-bench`` / ``load-bench`` plus
-``scripts/perf_smoke.py`` / ``scripts/load_smoke.py`` for the numbers.
+``scripts/perf_smoke.py`` / ``scripts/load_smoke.py`` /
+``scripts/retrieval_smoke.py`` for the numbers.
 """
 
 from .ann import ANNIndex, DEFAULT_NPROBE, build_ann_index

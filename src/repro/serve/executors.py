@@ -178,24 +178,35 @@ def transformer_encoder_kv(x: np.ndarray, attn_mask4: np.ndarray,
 def transformer_step_kv(x: np.ndarray, lengths: np.ndarray, *kv: np.ndarray,
                         layers: list, num_heads: int, final_g: np.ndarray,
                         final_b: np.ndarray, eps: float = 1e-8) -> tuple:
-    """Advance a cached K/V prefix by one token.
+    """Advance cached K/V prefixes by one token per row.
 
-    ``x`` is the new token's input embedding ``(B, 1, d)`` (item row +
+    ``x`` is the new tokens' input embeddings ``(B, 1, d)`` (item row +
     position); ``kv`` holds each layer's prefix keys/values
     ``k_0, v_0, k_1, v_1, ...`` as ``(B, H, W, hd)``, whose *last*
-    ``lengths[0]`` columns are valid (a tight encode left-pads).  Each
-    layer attends the token's query against its valid prefix plus the
-    token itself — no mask, since causal attention over (prefix + self)
-    is every key.  Returns ``(rep, k_0', v_0', ...)`` with ``rep`` the
-    final-LayerNormed token representation ``(B, d)``.
+    ``lengths[j]`` columns are row ``j``'s valid prefix (a tight encode
+    left-pads, and a packed batch right-aligns shorter rows).  Each
+    layer attends a token's query against its valid prefix plus the
+    token itself.  When every row has the same length no mask is
+    built — causal attention over (prefix + self) is every key — so a
+    one-row step equals the unbatched one byte for byte; otherwise the
+    prefix columns before a row's valid tail are blocked.  Returns
+    ``(rep, k_0', v_0', ...)`` with ``rep`` the final-LayerNormed token
+    representation ``(B, d)`` and the grown ``(B, H, W' + 1, hd)``
+    prefixes, ``W' = max(lengths)``.
     """
-    t = int(lengths[0])
+    longest = int(lengths.max())
+    blocked = None
+    if int(lengths.min()) != longest:
+        # (B, 1, 1, W' + 1): the token's column (last) is never blocked.
+        blocked = (np.arange(longest + 1)[None, :]
+                   < (longest - lengths)[:, None])[:, None, None, :]
     grown = []
     for index, params in enumerate(layers):
         width = kv[2 * index].shape[2]
-        prefix = (kv[2 * index][:, :, width - t:],
-                  kv[2 * index + 1][:, :, width - t:])
-        x, k, v = transformer_block(x, params, num_heads, prefix=prefix)
+        prefix = (kv[2 * index][:, :, width - longest:],
+                  kv[2 * index + 1][:, :, width - longest:])
+        x, k, v = transformer_block(x, params, num_heads, blocked,
+                                    prefix=prefix)
         grown += [k, v]
     rep = layer_norm(x, final_g, final_b, eps)[0][:, -1, :]
     return (rep, *grown)

@@ -16,7 +16,9 @@ under ``no_grad``.
 Weights are *copied* at freeze time — a plan is a snapshot, so re-freeze
 after further training.  The transposed score table (``table_t``) is the
 pinned item-embedding table shared by every request of a
-:class:`~repro.serve.service.RecommendService`.
+:class:`~repro.serve.service.RecommendService`; its float32 twin
+(``table32``, a :class:`~repro.serve.retrieval.Float32Table`) serves
+:meth:`FrozenPlan.topk`, the certified exact top-K.
 """
 
 from __future__ import annotations
@@ -31,11 +33,22 @@ from ..nn import inference_mode, no_grad
 from . import executors as X
 from .ann import DEFAULT_NPROBE, build_ann_index
 from .program import execute, run_step, step
+from .retrieval import Float32Table, topk_from_scores
 
 
 def _snap(param) -> np.ndarray:
     """Copy a Parameter/Tensor's data out of the graph."""
     return np.array(param.data, dtype=np.float64)
+
+
+def _transpose(table: np.ndarray, block: int = 256) -> np.ndarray:
+    """C-contiguous ``table.T``, copied ``block`` rows at a time: one
+    whole-array transposing copy strides through memory and is about 3x
+    slower on a 30k x 32 table."""
+    out = np.empty((table.shape[1], table.shape[0]), dtype=table.dtype)
+    for start in range(0, table.shape[0], block):
+        out[:, start:start + block] = table[start:start + block].T
+    return out
 
 
 def _activation(fn) -> object:
@@ -104,9 +117,10 @@ class FrozenPlan:
         Padding-width-independent encode of ``items``/``mask`` — the
         only way a plan may serve ``padding="tight"``.
     ``"append"`` / ``"readout"``
-        Advance a one-row cached state (the values named by
+        Advance a batch of cached states (the values named by
         ``state_names``, which ``"tight"`` also produces) by one
-        ``item``, and read its representation — incremental serving.
+        ``item`` per row, and read their representations — incremental
+        serving (:meth:`append_items`).
 
     All plans accept an optional ``users`` argument (ignored outside
     SSDRec) so callers can treat every plan uniformly.
@@ -117,6 +131,10 @@ class FrozenPlan:
     supports_encode = True
     #: Environment names of the incremental state, in state-list order.
     state_names = ()
+    #: The state values that are right-aligned KV prefixes ``(B, H, W,
+    #: hd)`` whose valid tail is ``lengths`` long; per-row states keep
+    #: only that tail, and a batch packs them right-aligned.
+    kv_names = ()
     #: Optional :class:`repro.serve.ann.ANNIndex` over the item table
     #: (set by :func:`attach_ann_index` / ``freeze(model, ann=True)``).
     ann_index = None
@@ -128,8 +146,10 @@ class FrozenPlan:
         self.masked_columns = tuple(masked_columns)
         self.programs = {"score": [step(
             "score", ["rep"], ["scores"],
-            table_t=np.ascontiguousarray(self.item_table.T),
+            table_t=_transpose(self.item_table),
             masked_columns=self.masked_columns)]}
+        self.table32 = Float32Table(self.item_table, self.table_t,
+                                    self.masked_columns)
 
     @property
     def table_t(self) -> np.ndarray:
@@ -141,12 +161,16 @@ class FrozenPlan:
         self.programs["score"][0]["params"]["table_t"] = value
 
     def __getstate__(self) -> dict:
-        """Pickle (spool, ``deepcopy``) without ``table_t``.
+        """Pickle (spool, ``deepcopy``) without ``table_t`` or
+        ``table32``.
 
-        It is ``item_table.T`` — half of a large plan's bytes — so it is
-        left out and rebuilt by :meth:`__setstate__`.
+        They are copies of ``item_table`` — more than half of a large
+        plan's bytes — so they are left out and rebuilt by
+        :meth:`__setstate__`.
         """
         state = self.__dict__.copy()
+        if "table32" in state:
+            state["table32"] = None
         score = self.programs.get("score")
         if score:
             (entry,) = score
@@ -157,12 +181,15 @@ class FrozenPlan:
 
     def __setstate__(self, state: dict) -> None:
         """Restore, rebuilding ``table_t`` as a C-contiguous
-        ``item_table.T`` once ``item_table`` is an array again (a
-        quantized payload holds records until it is decoded)."""
+        ``item_table.T`` and ``table32`` from ``item_table`` once it is
+        an array again (a quantized payload holds records until it is
+        decoded)."""
         self.__dict__.update(state)
         if "score" in self.programs and isinstance(
                 getattr(self, "item_table", None), np.ndarray):
-            self.table_t = np.ascontiguousarray(self.item_table.T)
+            self.table_t = _transpose(self.item_table)
+            self.table32 = Float32Table(self.item_table, self.table_t,
+                                        self.masked_columns)
 
     @property
     def dim(self) -> int:
@@ -223,26 +250,74 @@ class FrozenPlan:
     # -- incremental (tight-padding) state API -------------------------
     def encode_tight_with_state(self, items: np.ndarray,
                                 mask: Optional[np.ndarray] = None):
-        """Tight encode that also returns the incremental state.
+        """Tight encode that also returns the batched incremental state.
 
-        The state is the list of ``state_names`` values; every element
-        is sliceable ``[j:j+1]`` on the batch axis (the service caches
-        one row per user and advances it with :meth:`append_item`).
+        The state is the list of ``state_names`` values, batched on
+        axis 0; :meth:`split_states` cuts it into the per-row states
+        the service caches and :meth:`append_items` advances.
         """
         env = self._run("tight", items, mask)
         return env["rep"], [env[name] for name in self.state_names]
 
-    def append_item(self, state: list, item: int) -> list:
-        """Advance a one-row state by ``item`` (the ``append`` program)."""
-        env = dict(zip(self.state_names, state))
-        env["item"] = np.array([item], dtype=np.int64)
-        env = execute(self.programs["append"], env)
-        return [env[name] for name in self.state_names]
+    def split_states(self, state: list) -> list:
+        """Per-row states of a batched one: row ``j`` of every value,
+        copied, with each KV prefix trimmed to its valid tail."""
+        lengths = dict(zip(self.state_names, state)).get("lengths")
+        rows = []
+        for j in range(len(state[0])):
+            row = []
+            for name, value in zip(self.state_names, state):
+                if name in self.kv_names:
+                    width = value.shape[2]
+                    value = value[j:j + 1, :, width - int(lengths[j]):]
+                else:
+                    value = value[j:j + 1]
+                row.append(value.copy())
+            rows.append(row)
+        return rows
 
-    def state_repr(self, state: list) -> np.ndarray:
-        env = execute(self.programs["readout"],
-                      dict(zip(self.state_names, state)))
-        return env["rep"][0]
+    def _pack_states(self, states: list) -> dict:
+        """Stack per-row states into one batch env: KV prefixes
+        right-aligned in the widest one's width (zeros before a shorter
+        row's tail, which the step blocks), everything else
+        concatenated.  A single state passes through as it is."""
+        if len(states) == 1:
+            return dict(zip(self.state_names, states[0]))
+        env = {}
+        for position, name in enumerate(self.state_names):
+            values = [state[position] for state in states]
+            if name in self.kv_names:
+                width = max(value.shape[2] for value in values)
+                _, heads, _, head_dim = values[0].shape
+                packed = np.zeros((len(values), heads, width, head_dim),
+                                  dtype=values[0].dtype)
+                for j, value in enumerate(values):
+                    packed[j, :, width - value.shape[2]:] = value[0]
+                env[name] = packed
+            else:
+                env[name] = np.concatenate(values)
+        return env
+
+    def append_items(self, states: list, items) -> tuple:
+        """Advance every per-row state by its item in one batch.
+
+        ``states`` are per-row states (:meth:`split_states`), ``items``
+        the ``B`` new item ids.  Runs the ``append`` and ``readout``
+        programs once over the packed batch; returns ``((B, d) reps,
+        per-row new states)``.  One row is simply ``B = 1``.
+        """
+        env = self._pack_states(states)
+        env["item"] = np.asarray(items, dtype=np.int64).reshape(-1)
+        env = execute(self.programs["append"], env)
+        env = execute(self.programs["readout"], env)
+        return env["rep"], self.split_states(
+            [env[name] for name in self.state_names])
+
+    def append_item(self, state: list, item: int) -> list:
+        """One row of :meth:`append_items`: ``state`` advanced by
+        ``item``.  The service does not call it; ``bench/workloads.py``
+        still traces it by name."""
+        return self.append_items([state], [item])[1][0]
 
     # -- score ---------------------------------------------------------
     def score(self, reprs: np.ndarray,
@@ -254,6 +329,38 @@ class FrozenPlan:
         """
         (entry,) = self.programs["score"]
         return run_step(entry, {"rep": reprs}, out=out)["scores"]
+
+    def certifies(self, k: int) -> bool:
+        """True when :meth:`topk` selects ``k`` items from the float32
+        table (at least K whole chunks), not from float64 scores."""
+        return self.table32.certifies(min(k, self.vocab_size))
+
+    def topk(self, reprs: np.ndarray, k: int,
+             out: Optional[np.ndarray] = None):
+        """``(B, d) -> ((B, k) ids, (B, k) float64 scores)``, exactly.
+
+        The exact twin of :meth:`ann_topk`: the ids are
+        ``topk_from_scores(score(reprs), k)``'s, selected from float32
+        scores under an error certificate and re-scored in float64
+        (:class:`~repro.serve.retrieval.Float32Table`).  Rows the
+        certificate does not cover, and every row when :meth:`certifies`
+        is False, go through ``score`` + ``topk_from_scores``.  ``out``
+        may supply a reusable float32 ``(B, V)`` buffer for the
+        certified path.
+        """
+        reprs = np.asarray(reprs, dtype=np.float64)
+        k = min(k, self.vocab_size)
+        if not self.certifies(k):
+            scores = self.score(reprs)
+            top = topk_from_scores(scores, k)
+            return top, np.take_along_axis(scores, top, axis=1)
+        top, values, certified = self.table32.topk(reprs, k, out=out)
+        rest = np.flatnonzero(~certified)
+        if rest.size:
+            scores = self.score(reprs[rest])
+            top[rest] = topk_from_scores(scores, k)
+            values[rest] = np.take_along_axis(scores, top[rest], axis=1)
+        return top, values
 
     def ann_topk(self, reprs: np.ndarray, k: int,
                  nprobe: int = DEFAULT_NPROBE):
@@ -302,8 +409,8 @@ class SASRecPlan(FrozenPlan):
     State layout: ``[k_0, v_0, …, k_{n-1}, v_{n-1}, rep, lengths]`` where
     ``k_i``/``v_i`` are layer ``i``'s ``(B, H, L, hd)`` key/value
     tensors (valid positions occupy the *last* ``lengths[j]`` columns of
-    row ``j``), ``rep`` the ``(B, d)`` representation and ``lengths``
-    the ``(B,)`` valid-item counts.
+    row ``j``; a per-row state keeps only those), ``rep`` the ``(B, d)``
+    representation and ``lengths`` the ``(B,)`` valid-item counts.
     """
 
     model_name = "SASRec"
@@ -315,6 +422,7 @@ class SASRecPlan(FrozenPlan):
         kv = [f"{kind}{index}" for index in range(len(enc["layers"]))
               for kind in "kv"]
         self.state_names = (*kv, "rep", "lengths")
+        self.kv_names = tuple(kv)
         embed, attn = self._embed(), step("causal_attn_mask", ["mask"],
                                           ["attn"])
         self.programs.update(

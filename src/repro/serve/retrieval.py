@@ -21,14 +21,42 @@ Tie handling is deterministic and matches the exact-tie semantics of
 ``(-score, index)``, so among equal scores the *lowest ids* win — the
 same total order under which ``ranks_from_scores`` counts every tied
 competitor against an item.  NaN scores order last, as in ``lexsort``.
+
+Certified float32 selection
+---------------------------
+:class:`Float32Table` selects the same top-K from a float32 copy of the
+item table without ever forming float64 scores for the whole catalog.
+The float32 score ``s32`` of an item differs from its float64 score
+``s64`` by at most ``err``, a bound on the rounding of both dot
+products (``γ_d`` each), of the inputs to float32, and an underflow
+floor, scaled by ``‖q‖ · max‖x‖``.  The chunk bound runs on the float32
+scores: K distinct chunks hold an entry ``s32 >= b``, so the K-th best
+``s64`` is ``>= b - err``, and every top-K entry has ``s32 >= b -
+2·err``.  Only the chunks whose max reaches that threshold (and the
+tail) are scanned; the few candidates are re-scored in float64 by a
+row-wise dot against the item table and ordered by ``(-score, index)``.
+Rows whose representation or float32 scores could be non-finite, and
+catalogs with fewer than K whole chunks, are left to the float64
+``score`` + :func:`topk_from_scores` path.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
 #: Column chunk width of the top-K bound (see the module docstring).
 CHUNK = 256
+
+#: Unit roundoffs of float32 and float64.
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53
+#: Smallest normal float32: each underflowing operation loses less,
+#: even with subnormals flushed to zero.
+_TINY32 = 2.0 ** -126
+#: Largest ``‖q‖ · max‖x‖`` (and norm) the float32 path accepts: no
+#: float32 input, product or partial sum can overflow below it.
+_SAFE32 = float(np.finfo(np.float32).max) / 4
 
 
 def topk_from_scores(scores: np.ndarray, k: int) -> np.ndarray:
@@ -109,6 +137,107 @@ def _ordered(sel_scores: np.ndarray, sel_idx: np.ndarray) -> np.ndarray:
     """Order selected entries by (-score, index) within each row."""
     rank = np.lexsort((sel_idx, -sel_scores), axis=-1)
     return np.take_along_axis(sel_idx, rank, axis=1)
+
+
+class Float32Table:
+    """A float32 ``(d, V)`` copy of an item table that selects the exact
+    top-K (see "Certified float32 selection" in the module docstring).
+
+    ``table`` is the float64 ``(V, d)`` item table the candidates are
+    re-scored against, ``table_t`` its C-contiguous ``(d, V)``
+    transpose (the plan's score table, cast in one contiguous pass with
+    no float64 temporary); ``masked_columns`` score ``-inf``.
+    """
+
+    def __init__(self, table: np.ndarray, table_t: np.ndarray,
+                 masked_columns=()):
+        self.table = table
+        # A table beyond float32 range is never certified, so its
+        # overflow is moot.
+        with np.errstate(over="ignore"):
+            self.table_t = table_t.astype(np.float32)
+        self.masked_columns = tuple(masked_columns)
+        dim = table.shape[1]
+        self.max_norm = float(np.sqrt(np.einsum(
+            "ij,ij->j", table_t, table_t)).max(initial=0.0))
+
+        def gamma(unit):
+            return dim * unit / (1.0 - dim * unit)
+
+        # Both dot products, the inputs' rounding to float32 and their
+        # second-order term; the last factor covers the float64
+        # arithmetic of the bound itself.
+        relative = (gamma(_U32) * (1.0 + _U32) ** 2 + 2.0 * _U32
+                    + _U32 ** 2 + gamma(_U64)) * (1.0 + 2.0 ** -20)
+        # err(‖q‖) = relative·‖q‖·max‖x‖ + 2·tiny·(d + √d·(‖q‖ + max‖x‖)),
+        # kept as slope·‖q‖ + intercept.
+        self.slope = (relative * self.max_norm
+                      + 2.0 * _TINY32 * np.sqrt(dim))
+        self.intercept = 2.0 * _TINY32 * (dim + np.sqrt(dim)
+                                          * self.max_norm)
+
+    def certifies(self, k: int) -> bool:
+        """True when :meth:`topk` serves ``k`` (at least K whole chunks
+        and a table whose float32 copy cannot overflow)."""
+        return (self.table.shape[0] // CHUNK >= k
+                and self.max_norm < _SAFE32)
+
+    def error(self, norms: np.ndarray) -> np.ndarray:
+        """Bound on ``|s32 - s64|`` for representations of norm
+        ``norms``, ``(B,)``."""
+        return self.slope * norms + self.intercept
+
+    def topk(self, reprs: np.ndarray, k: int,
+             out: Optional[np.ndarray] = None) -> tuple:
+        """``((B, k) ids, (B, k) float64 scores, (B,) certified)``.
+
+        Rows where ``certified`` is False (non-finite representations,
+        norms whose float32 products could overflow) hold garbage; the
+        caller ranks them on the float64 path.  ``out`` may supply a
+        reusable float32 ``(B, V)`` buffer.  Requires
+        :meth:`certifies` ``(k)``.
+        """
+        reprs = np.asarray(reprs, dtype=np.float64)
+        rows, vocab = reprs.shape[0], self.table.shape[0]
+        chunks = vocab // CHUNK
+        # Non-finite rows may overflow or turn NaN on the way; they are
+        # marked uncertified, so their warnings carry no information.
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.sqrt(np.einsum("ij,ij->i", reprs, reprs))
+            # NaN norms fail both comparisons.
+            fast = (norms < _SAFE32) & (norms * self.max_norm < _SAFE32)
+            scores = np.matmul(reprs.astype(np.float32), self.table_t,
+                               out=out)
+            for col in self.masked_columns:
+                scores[:, col] = -np.inf
+            body = scores[:, :chunks * CHUNK].reshape(rows, chunks, CHUNK)
+            cmax = body.max(axis=2)
+            bound = np.partition(cmax, chunks - k, axis=1)[:, chunks - k]
+            threshold = bound - 2.0 * self.error(norms)
+            fast &= np.isfinite(threshold)
+            # One float32 step below the rounded threshold is at or
+            # below the threshold itself.  NaN keeps uncertified rows
+            # out of every comparison.
+            floor32 = np.where(fast, np.nextafter(
+                threshold.astype(np.float32), np.float32(-np.inf)), np.nan)
+        hot_row, hot_chunk = np.nonzero(cmax >= floor32[:, None])
+        hit, offset = np.nonzero(body[hot_row, hot_chunk]
+                                 >= floor32[hot_row, None])
+        tail_row, tail_col = np.nonzero(
+            scores[:, chunks * CHUNK:] >= floor32[:, None])
+        row = np.concatenate([hot_row[hit], tail_row])
+        col = np.concatenate([hot_chunk[hit] * CHUNK + offset,
+                              tail_col + chunks * CHUNK])
+        exact = np.einsum("ij,ij->i", self.table[col], reprs[row])
+        order = np.lexsort((col, -exact, row))
+        # Each certified row has >= K candidates (its K chunk maxima),
+        # grouped in row order.
+        first = np.searchsorted(row[order], np.flatnonzero(fast))
+        picks = order[first[:, None] + np.arange(k)]
+        top = np.zeros((rows, k), dtype=np.intp)
+        values = np.zeros((rows, k), dtype=np.float64)
+        top[fast], values[fast] = col[picks], exact[picks]
+        return top, values, fast
 
 
 def merge_topk(item_lists, score_lists, k: int):

@@ -6,9 +6,10 @@ user-state cache keyed by ``(user, sequence)`` makes exact repeats free
 and — for recurrent plans in ``padding="tight"`` mode — lets an
 append-one-item request advance the cached recurrent (GRU) or KV-prefix
 (attention) state by a single step instead of re-encoding the whole
-history.  A per-user rolling state backs the exact-sequence cache so the
-cheap path survives the ``max_len`` window rollover, where truncation
-re-keys the LRU on every request.
+history; a flush advances all such requests in one batched
+``append_items`` call.  A per-user rolling state backs the
+exact-sequence cache so the cheap path survives the ``max_len`` window
+rollover, where truncation re-keys the LRU on every request.
 
 Padding modes
 -------------
@@ -32,11 +33,12 @@ request has a result; an encode/score/forward error in one micro-batch
 chunk triggers a per-request retry of that chunk alone (other chunks are
 unaffected), and a request that still fails comes back as a
 :class:`Recommendation` with ``error`` set (``failed`` is True) rather
-than an exception.  An incremental-append failure falls back to a full
-encode and is counted (``stats.incremental_failures``, first message
-recorded).  The fault sites ``serve.encode`` / ``serve.score`` /
-``serve.forward`` let the chaos harness (:mod:`repro.resilience`) drive
-these paths deterministically.
+than an exception.  A failing append batch is retried row by row; a row
+that still fails falls back to a full encode and is counted
+(``stats.incremental_failures``, first message recorded).  The fault
+sites ``serve.encode`` / ``serve.score`` / ``serve.forward`` let the
+chaos harness (:mod:`repro.resilience`) drive these paths
+deterministically.
 """
 
 from __future__ import annotations
@@ -88,10 +90,11 @@ class ServiceStats:
     chunk_retries: int = 0
     #: requests answered with an error result.
     errors: int = 0
-    #: ``append_item`` failures that degraded to a full encode — a
-    #: nonzero count means the incremental path is broken, not idle.
+    #: appends (rows of ``append_items``) that failed and degraded to a
+    #: full encode — a nonzero count means the incremental path is
+    #: broken, not idle.
     incremental_failures: int = 0
-    #: first ``append_item`` failure message, for diagnosis.
+    #: first ``append_items`` failure message, for diagnosis.
     first_incremental_failure: Optional[str] = None
     #: per-user rolling states dropped by the LRU bound.
     state_evictions: int = 0
@@ -126,8 +129,9 @@ class RecommendService:
         raises ``PlanVerificationError`` here instead of failing mid
         request.
     retrieval:
-        ``"exact"`` (default) scores the full item table and selects
-        with ``topk_from_scores``; ``"ann"`` probes the plan's
+        ``"exact"`` (default) selects the exact top-K over the full
+        item table (``plan.topk``, or ``score`` + ``topk_from_scores``
+        on catalogs too small to certify); ``"ann"`` probes the plan's
         clustered MIPS index (:mod:`repro.serve.ann`) and scores only
         the probed clusters — sub-linear in the catalog, at a measured
         recall cost (see ``BENCH_retrieval.json``).  An index is built
@@ -170,7 +174,7 @@ class RecommendService:
         #: lineage probe keeps long-session users on the cheap path.
         self._user_state: OrderedDict = OrderedDict()
         self._pending: List[Tuple[Optional[int], tuple]] = []
-        self._scores = np.empty((0, 0), dtype=np.float64)
+        self._scores = np.empty((0, 0), dtype=np.float32)
         self.stats = ServiceStats()
 
     # ------------------------------------------------------------------
@@ -217,30 +221,41 @@ class RecommendService:
         return results
 
     def _flush_encode(self, pending) -> List[Recommendation]:
+        """Classify each request as a cache hit, an append candidate or
+        a full encode, run every append candidate in one batch, encode
+        the rest (append failures included), then rank all rows.
+
+        The caches change only after classification, so a request never
+        builds on another request of the same flush: one whose
+        predecessor is produced in this flush is full-encoded.
+        """
         count = len(pending)
         reprs: List[Optional[np.ndarray]] = [None] * count
         flags = [(False, False)] * count
         errors: List[Optional[str]] = [None] * count
+        appends: List[Tuple[int, list]] = []
         to_encode = []
         for i, (user, seq) in enumerate(pending):
-            key = (user, seq)
-            entry = self._cache_get(key)
+            entry = self._cache_get((user, seq))
             if entry is not None and entry.get("repr") is not None:
                 reprs[i] = entry["repr"]
                 flags[i] = (True, False)
                 self.stats.cache_hits += 1
                 continue
-            if self._incremental and len(seq) > 1:
-                advanced = self._probe_incremental(user, seq)
-                if advanced is not None:
-                    rep, state = advanced
-                    reprs[i] = rep
-                    flags[i] = (False, True)
-                    self.stats.incremental_hits += 1
-                    self._cache_put(key, rep, state)
-                    self._user_state_put(user, seq, state)
-                    continue
-            to_encode.append(i)
+            state = (self._predecessor_state(user, seq)
+                     if self._incremental and len(seq) > 1 else None)
+            if state is None:
+                to_encode.append(i)
+            else:
+                appends.append((i, state))
+
+        for i, (rep, state) in self._append_batch(pending, appends).items():
+            reprs[i] = rep
+            flags[i] = (False, True)
+            self.stats.incremental_hits += 1
+            self._remember(pending[i], rep, state)
+        to_encode = sorted(set(to_encode) | {
+            i for i, _ in appends if reprs[i] is None})
 
         for start in range(0, len(to_encode), self.max_batch):
             chunk = to_encode[start:start + self.max_batch]
@@ -252,13 +267,7 @@ class RecommendService:
                 continue
             self.stats.batches += 1
             self.stats.full_encodes += len(chunk)
-            for j, i in enumerate(chunk):
-                reprs[i] = rows[j]
-                state = None if states is None else [
-                    layer[j:j + 1].copy() for layer in states]
-                self._cache_put((pending[i][0], pending[i][1]),
-                                rows[j], state)
-                self._user_state_put(pending[i][0], pending[i][1], state)
+            self._store_encoded(pending, chunk, rows, states, reprs)
 
         ranked = self._topk_reprs(reprs, errors)
         results: List[Optional[Recommendation]] = [None] * count
@@ -275,9 +284,8 @@ class RecommendService:
                     pending[i][0], errors[i] or "not scored")
         return results
 
-    def _probe_incremental(self, user, seq
-                           ) -> Optional[Tuple[np.ndarray, list]]:
-        """Find a cached state one item behind ``seq`` and advance it.
+    def _predecessor_state(self, user, seq) -> Optional[list]:
+        """A cached state one item behind ``seq``, or None.
 
         Two probes, cheapest first: the exact ``(user, seq[:-1])`` LRU
         entry, then the per-user rolling state.  The rolling probe
@@ -288,10 +296,6 @@ class RecommendService:
         for one new one.  A slid hit advances the full-history state, so
         its result tracks the untruncated sequence (exact w.r.t. the
         model) rather than re-encoding the truncated window.
-
-        An ``append_item`` failure is counted in
-        ``stats.incremental_failures`` (first message recorded) and
-        degrades to a full encode of this request only.
         """
         prev = self._cache_get((user, seq[:-1]))
         state = None if prev is None else prev.get("state")
@@ -308,18 +312,63 @@ class RecommendService:
                 if grow or slide:
                     self._user_state.move_to_end(user)
                     state = rolled["state"]
-        if state is None:
-            return None
+        return state
+
+    def _append_batch(self, pending, appends
+                      ) -> Dict[int, Tuple[np.ndarray, list]]:
+        """Advance every append candidate in one ``append_items`` call.
+
+        Returns ``{request index: (rep, new state)}``.  If the batch
+        raises, each row is retried alone, as :meth:`_retry_encodes`
+        does; a row that still fails is counted in
+        ``stats.incremental_failures`` (first message recorded) and left
+        out, to be full-encoded.
+        """
+        if not appends:
+            return {}
         try:
-            new_state = self.plan.append_item(state, seq[-1])
-            rep = self.plan.state_repr(new_state)
+            return self._append_rows(pending, appends)
         except Exception as exc:
-            self.stats.incremental_failures += 1
-            if self.stats.first_incremental_failure is None:
-                self.stats.first_incremental_failure = (
-                    f"{type(exc).__name__}: {exc}")
-            return None
-        return rep, new_state
+            if len(appends) == 1:
+                self._note_incremental_failure(exc)
+                return {}
+        self.stats.chunk_retries += 1
+        advanced = {}
+        for row in appends:
+            try:
+                advanced.update(self._append_rows(pending, [row]))
+            except Exception as exc:
+                self._note_incremental_failure(exc)
+        return advanced
+
+    def _append_rows(self, pending, appends
+                     ) -> Dict[int, Tuple[np.ndarray, list]]:
+        reps, states = self.plan.append_items(
+            [state for _, state in appends],
+            [pending[i][1][-1] for i, _ in appends])
+        return {i: (reps[j], states[j])
+                for j, (i, _) in enumerate(appends)}
+
+    def _note_incremental_failure(self, exc: Exception) -> None:
+        self.stats.incremental_failures += 1
+        if self.stats.first_incremental_failure is None:
+            self.stats.first_incremental_failure = (
+                f"{type(exc).__name__}: {exc}")
+
+    def _store_encoded(self, pending, chunk, rows, states, reprs) -> None:
+        """Record a full encode of ``chunk``: reprs, LRU and rolling
+        states (split per row when the plan keeps incremental state)."""
+        per_row = (None if states is None
+                   else self.plan.split_states(states))
+        for j, i in enumerate(chunk):
+            reprs[i] = rows[j]
+            self._remember(pending[i], rows[j],
+                           None if per_row is None else per_row[j])
+
+    def _remember(self, request, rep: np.ndarray,
+                  state: Optional[list]) -> None:
+        self._cache_put(request, rep, state)
+        self._user_state_put(request[0], request[1], state)
 
     def _retry_encodes(self, pending, chunk, reprs, errors) -> None:
         """Batched encode failed: isolate by encoding request-by-request."""
@@ -333,11 +382,7 @@ class RecommendService:
                 continue
             self.stats.batches += 1
             self.stats.full_encodes += 1
-            reprs[i] = rows[0]
-            state = None if states is None else [
-                layer[0:1].copy() for layer in states]
-            self._cache_put((pending[i][0], pending[i][1]), rows[0], state)
-            self._user_state_put(pending[i][0], pending[i][1], state)
+            self._store_encoded(pending, [i], rows, states, reprs)
 
     def _topk_reprs(self, reprs, errors
                     ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
@@ -367,11 +412,15 @@ class RecommendService:
     def _rank(self, reprs: np.ndarray
               ) -> Tuple[np.ndarray, np.ndarray]:
         """``(B, d) -> ((B, k) items, (B, k) scores)`` on the configured
-        retrieval path (both behind the ``serve.score`` fault site)."""
+        retrieval path (all behind the ``serve.score`` fault site)."""
+        fault_point("serve.score")
         if self.retrieval == "ann":
-            fault_point("serve.score")
             return self.plan.ann_topk(reprs, self.k, self.nprobe)
-        scores = self._score(reprs)
+        if self.plan.certifies(self.k):
+            return self.plan.topk(reprs, self.k,
+                                  out=self._buffer(len(reprs), np.float32))
+        scores = self.plan.score(reprs,
+                                 out=self._buffer(len(reprs), np.float64))
         top = topk_from_scores(scores, self.k)
         return top, np.take_along_axis(scores, top, axis=1)
 
@@ -383,21 +432,22 @@ class RecommendService:
                               error=error)
 
     # ------------------------------------------------------------------
-    def _score(self, reprs: np.ndarray) -> np.ndarray:
-        """Score into one ``(B, V)`` buffer reused across flushes.
+    def _buffer(self, rows: int, dtype) -> np.ndarray:
+        """One ``(B, V)`` score buffer reused across flushes: float32
+        for ``plan.topk``, float64 for ``plan.score``.
 
-        A fresh buffer per flush is large (7.7 MB for 32 rows of a 30k
-        catalog), and whether the allocator keeps such blocks or returns
-        them to the OS, to be faulted in page by page on the next flush,
-        depends on what the process allocated before; reusing one makes
-        the steady state independent of that history.  Callers copy what
-        they keep before the next flush.
+        A fresh buffer per flush is large (3.8 MB in float32 for 32 rows
+        of a 30k catalog), and whether the allocator keeps such blocks or
+        returns them to the OS, to be faulted in page by page on the
+        next flush, depends on what the process allocated before;
+        reusing one makes the steady state independent of that history.
+        Callers copy what they keep before the next flush.
         """
-        fault_point("serve.score")
-        rows, vocab = reprs.shape[0], self.plan.vocab_size
-        if self._scores.shape[0] < rows or self._scores.shape[1] != vocab:
-            self._scores = np.empty((rows, vocab), dtype=np.float64)
-        return self.plan.score(reprs, out=self._scores[:rows])
+        vocab = self.plan.vocab_size
+        if (self._scores.shape[0] < rows or self._scores.shape[1] != vocab
+                or self._scores.dtype != dtype):
+            self._scores = np.empty((rows, vocab), dtype=dtype)
+        return self._scores[:rows]
 
     def _encode_chunk(self, rows) -> Tuple[np.ndarray, Optional[list]]:
         fault_point("serve.encode")

@@ -243,6 +243,21 @@ class TestCorruptedPlans:
         assert err.op == "transformer_encoder"
         assert "SASRec step" in str(err) and "non-finite" in str(err)
 
+    def test_topk_disagreeing_with_the_score_program_fails(self):
+        """A float32 table that drifted from the score program (here:
+        negated in the float32 copy only) makes ``plan.topk`` pick other
+        ids than ``topk_from_scores``."""
+        from repro.models import SASRec
+        from repro.serve.retrieval import CHUNK
+
+        plan = freeze(SASRec(num_items=12 * CHUNK, dim=DIM,
+                             max_len=MAX_LEN, rng=np.random.default_rng(4)))
+        assert plan.certifies(10)
+        plan.table32.table_t *= -1.0
+        with pytest.raises(PlanVerificationError, match="topk") as excinfo:
+            verify_plan(plan)
+        assert excinfo.value.plan == "SASRec topk"
+
 
 class TestServiceVerifyWiring:
     def _corrupt(self):

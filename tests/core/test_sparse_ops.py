@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 from repro.core import row_normalize, sparse_matmul, symmetric_normalize
+from repro.core.sparse_ops import SparseRelation
 from repro.nn import Tensor
 
 RNG = np.random.default_rng(31)
@@ -28,6 +29,29 @@ class TestSparseMatmul:
         A = sparse.identity(3, format="csr")
         with pytest.raises(ValueError):
             sparse_matmul(A, Tensor(np.zeros((4, 2))))
+        with pytest.raises(ValueError):
+            sparse_matmul(SparseRelation(A), Tensor(np.zeros((4, 2))))
+
+    def test_prebuilt_relation_is_byte_equal_and_not_retransposed(
+            self, monkeypatch):
+        A = sparse.random(6, 5, density=0.4, random_state=1, format="coo")
+        relation = SparseRelation(A)
+        weights = RNG.normal(size=(6, 3))
+        data = RNG.normal(size=(5, 3))
+        grads = []
+        for operator in (A, relation):
+            X = Tensor(data.copy(), requires_grad=True)
+            out = sparse_matmul(operator, X)
+            (out * Tensor(weights)).sum().backward()
+            grads.append((out.data.tobytes(), X.grad.tobytes()))
+        assert grads[0] == grads[1]
+        # A relation's product converts nothing: no CSR copy, no
+        # transpose.
+        for cls in (sparse.csr_matrix, sparse.csc_matrix):
+            monkeypatch.setattr(cls, "tocsr", None)
+        sparse_matmul(relation, Tensor(data))
+        with pytest.raises(TypeError):
+            sparse_matmul(A.tocsr(), Tensor(data))
 
 
 class TestNormalization:

@@ -203,6 +203,22 @@ class TestPlanPickle:
         assert plan.table_t is plan.programs["score"][0]["params"]["table_t"]
         assert plan.table_t is not None
 
+    def test_float32_table_is_left_out_and_rebuilt(self):
+        import pickle
+
+        plan = gru_plan()
+        state = plan.__getstate__()
+        assert state["table32"] is None and plan.table32 is not None
+        for restored in (pickle.loads(pickle.dumps(plan)),
+                         quantize_plan(plan, "int8").dequantize()):
+            table32 = restored.table32
+            assert table32.table is restored.item_table
+            assert table32.table_t.dtype == np.float32
+            # Rebuilt from the (dequantized) table it now serves.
+            assert table32.table_t.tobytes() == np.ascontiguousarray(
+                restored.item_table.T, dtype=np.float32).tobytes()
+        assert not np.array_equal(restored.item_table, plan.item_table)
+
     def test_quantized_payload_holds_no_table_t_record(self):
         quantized = quantize_plan(gru_plan(), "int8")
         assert not any("table_t" in path for path in quantized.weights())

@@ -258,19 +258,19 @@ class TestIncrementalAppend:
             RecommendService(model, padding="tight")
 
     def test_incremental_failure_is_counted_and_recovered(self, gru_plan):
-        """A broken ``append_item`` must degrade to a full encode *and*
+        """A broken ``append_items`` must degrade to a full encode *and*
         leave a trace: count + first failure message."""
         service = RecommendService(gru_plan, k=5, padding="tight")
         seq = [3, 7, 9]
         service.recommend(1, seq)
-        def broken(state, item):
+        def broken(states, items):
             raise RuntimeError("kv drift")
 
-        service.plan.append_item = broken
+        service.plan.append_items = broken
         try:
             rec = service.recommend(1, seq + [2])
         finally:
-            del service.plan.append_item       # restore the class method
+            del service.plan.append_items      # restore the class method
         assert not rec.failed and not rec.incremental
         assert service.stats.incremental_failures == 1
         assert "kv drift" in service.stats.first_incremental_failure
@@ -291,6 +291,189 @@ class TestIncrementalAppend:
             [short, long])[0]
         np.testing.assert_array_equal(alone.items, padded.items)
         np.testing.assert_allclose(alone.scores, padded.scores, atol=1e-12)
+
+
+def count_append_calls(monkeypatch, plan, fail_on=None):
+    """Record every ``plan.append_items`` batch (its items); with
+    ``fail_on`` a batch holding that item raises."""
+    calls = []
+    original = plan.append_items
+
+    def counted(states, items):
+        calls.append(list(items))
+        if fail_on is not None and fail_on in list(items):
+            raise RuntimeError("poisoned append")
+        return original(states, items)
+
+    monkeypatch.setattr(plan, "append_items", counted)
+    return calls
+
+
+def assert_matches(got, want, atol=1e-9):
+    for rec, ref in zip(got, want):
+        np.testing.assert_array_equal(rec.items, ref.items)
+        np.testing.assert_allclose(rec.scores, ref.scores, rtol=0,
+                                   atol=atol)
+
+
+def assert_accounted(stats):
+    assert (stats.cache_hits + stats.full_encodes
+            + stats.incremental_hits == stats.requests)
+
+
+class TestBatchedAppend:
+    """One ``append_items`` call per flush: ragged KV prefixes, GRU
+    slides beside grows, failure isolation inside the batch."""
+
+    def warm(self, service, rng, users, lengths):
+        seqs = {user: tuple(int(i) for i in rng.integers(
+                    1, NUM_ITEMS + 1, size=length))
+                for user, length in zip(users, lengths)}
+        service.recommend_many(list(seqs.items()))
+        return seqs
+
+    def test_ragged_sasrec_appends_run_in_one_call(self, sasrec_plan,
+                                                   monkeypatch):
+        rng = np.random.default_rng(30)
+        service = RecommendService(sasrec_plan, k=5, padding="tight")
+        seqs = self.warm(service, rng, range(1, 9),
+                         [1, 2, 3, 4, 6, 7, 8, 5])
+        calls = count_append_calls(monkeypatch, sasrec_plan)
+        grown = [(user, seq + (int(rng.integers(1, NUM_ITEMS + 1)),))
+                 for user, seq in seqs.items()]
+        results = service.recommend_many(grown)
+        assert calls == [[seq[-1] for _, seq in grown]]
+        assert all(rec.incremental for rec in results)
+        fresh = RecommendService(sasrec_plan, k=5, padding="tight",
+                                 cache_size=0)
+        assert_matches(results, fresh.recommend_many(grown))
+        assert service.stats.incremental_hits == len(grown)
+        assert_accounted(service.stats)
+        # The advanced states chain: a second grow batches again.
+        again = [(user, seq + (3,)) for user, seq in grown]
+        assert all(rec.incremental
+                   for rec in service.recommend_many(again))
+        assert len(calls) == 2
+        assert_matches(service.recommend_many(again),
+                       fresh.recommend_many(again))
+
+    def test_gru_slides_mixed_with_grows(self, gru_plan, monkeypatch):
+        from repro.data.batching import pad_sequences
+        from repro.serve import topk_from_scores
+
+        rng = np.random.default_rng(31)
+        service = RecommendService(gru_plan, k=5, padding="tight")
+        seqs = self.warm(service, rng, [1, 2, 3, 4],
+                         [MAX_LEN, 3, MAX_LEN, 5])
+        calls = count_append_calls(monkeypatch, gru_plan)
+        nxt = {user: int(rng.integers(1, NUM_ITEMS + 1)) for user in seqs}
+        requests = [(user, (seq + (nxt[user],))[-MAX_LEN:])
+                    for user, seq in seqs.items()]
+        results = service.recommend_many(requests)
+        assert len(calls) == 1 and len(calls[0]) == 4
+        assert all(rec.incremental for rec in results)
+        fresh = RecommendService(gru_plan, k=5, padding="tight",
+                                 cache_size=0)
+        for (user, seq), rec in zip(requests, results):
+            if len(seqs[user]) < MAX_LEN:              # a grow
+                assert_matches([rec], [fresh.recommend(user, seq)])
+                continue
+            # A slide tracks the untruncated history.
+            full = seqs[user] + (nxt[user],)
+            items, mask, _ = pad_sequences([full], max_len=len(full))
+            scores = gru_plan.score(gru_plan.encode_tight(items, mask))[0]
+            top = topk_from_scores(scores[None], 5)[0]
+            np.testing.assert_array_equal(rec.items, top)
+            np.testing.assert_allclose(rec.scores, scores[top], rtol=0,
+                                       atol=1e-9)
+        assert_accounted(service.stats)
+
+    def test_failing_row_degrades_alone(self, sasrec_plan, monkeypatch):
+        rng = np.random.default_rng(32)
+        service = RecommendService(sasrec_plan, k=5, padding="tight")
+        seqs = self.warm(service, rng, range(1, 6), [2, 5, 3, 7, 4])
+        poison = NUM_ITEMS                  # only user 3 appends it
+        grown = [(user, seq + (poison if user == 3 else 1,))
+                 for user, seq in seqs.items()]
+        calls = count_append_calls(monkeypatch, sasrec_plan,
+                                   fail_on=poison)
+        results = service.recommend_many(grown)
+        # The batch, then each row alone.
+        assert len(calls) == 1 + len(grown)
+        assert [rec.incremental for rec in results] == [
+            user != 3 for user, _ in grown]
+        assert not any(rec.failed for rec in results)
+        stats = service.stats
+        assert stats.incremental_failures == 1
+        assert "poisoned append" in stats.first_incremental_failure
+        assert stats.chunk_retries == 1
+        fresh = RecommendService(sasrec_plan, k=5, padding="tight",
+                                 cache_size=0)
+        assert_matches(results, fresh.recommend_many(grown))
+        assert_accounted(stats)
+
+    def test_predecessor_in_the_same_flush_is_full_encoded(
+            self, sasrec_plan, monkeypatch):
+        service = RecommendService(sasrec_plan, k=5, padding="tight")
+        service.recommend(1, (4, 5))
+        calls = count_append_calls(monkeypatch, sasrec_plan)
+        requests = [(1, (4, 5, 6)), (1, (4, 5, 6, 7)), (2, (8, 9)),
+                    (2, (8, 9, 1))]
+        results = service.recommend_many(requests)
+        # Only (1, (4, 5, 6)) had a cached predecessor before the flush.
+        assert calls == [[6]]
+        assert [rec.incremental for rec in results] == [True, False,
+                                                         False, False]
+        fresh = RecommendService(sasrec_plan, k=5, padding="tight",
+                                 cache_size=0)
+        assert_matches(results, fresh.recommend_many(requests))
+        assert_accounted(service.stats)
+        # The next flush builds on what this one stored.
+        assert service.recommend(2, (8, 9, 1, 2)).incremental
+
+
+class TestAppendItems:
+    def tight_states(self, plan, seqs):
+        from repro.data.batching import pad_sequences
+        items, mask, _ = pad_sequences(seqs, max_len=None)
+        return plan.split_states(plan.encode_tight_with_state(items,
+                                                              mask)[1])
+
+    def test_one_row_equals_the_unbatched_program_bytewise(self,
+                                                           sasrec_plan):
+        """B = 1 runs the append program on the cached row unchanged:
+        the same bytes as stepping the untrimmed encode state."""
+        from repro.data.batching import pad_sequences
+        from repro.serve.program import execute
+
+        items, mask, _ = pad_sequences([(3, 4, 5), (6, 7, 8, 9, 1)],
+                                       max_len=None)
+        _, state = sasrec_plan.encode_tight_with_state(items, mask)
+        env = {name: value[0:1] for name, value in
+               zip(sasrec_plan.state_names, state)}
+        env["item"] = np.array([2])
+        env = execute(sasrec_plan.programs["append"], env)
+        row = sasrec_plan.split_states(state)[0]
+        assert row[0].shape[2] == 3             # trimmed to its length
+        rep, (new,) = sasrec_plan.append_items([row], [2])
+        assert rep.tobytes() == env["rep"].tobytes()
+        for name, value in zip(sasrec_plan.state_names, new):
+            assert value.tobytes() == env[name].tobytes(), name
+
+    @pytest.mark.parametrize("plan_name", ["sasrec_plan", "gru_plan"])
+    def test_batch_matches_rows_appended_alone(self, plan_name, request):
+        plan = request.getfixturevalue(plan_name)
+        seqs = [(3,), (4, 5, 6, 7), (8, 9), (1, 2, 3, 4, 5, 6, 7)]
+        states = self.tight_states(plan, seqs)
+        items = [11, 12, 13, 14]
+        reps, grown = plan.append_items(states, items)
+        assert reps.shape == (len(seqs), DIM)
+        for j, (state, item) in enumerate(zip(states, items)):
+            rep, (alone,) = plan.append_items([state], [item])
+            np.testing.assert_allclose(reps[j], rep[0], rtol=0, atol=1e-12)
+            for got, want in zip(grown[j], alone):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestCacheAccountingUnderLoad:
