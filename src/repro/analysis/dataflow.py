@@ -169,16 +169,32 @@ def _check_ann(plan, reprs: np.ndarray) -> None:
 def _check_topk(plan, env: dict) -> None:
     """On plans whose ``topk`` selects from the float32 table, it must
     pick, on the forward probe ``env``, the ids ``topk_from_scores``
-    picks from the score program's output.  (Other plans' ``topk`` is
-    ``score`` + ``topk_from_scores`` itself.)"""
+    picks from the score program's output, up to the order of items
+    whose scores lie within float64 rounding of each other.  (Other
+    plans' ``topk`` is ``score`` + ``topk_from_scores`` itself.)
+
+    With ``tol`` the re-score's rounding bound
+    (``table32.rescore_error``), the ``k`` ids must be distinct, each
+    served score within ``tol`` of the score program's, and the score
+    program's score at the ``j``-th id within ``2·tol`` of its ``j``-th
+    best score.
+    """
     k = min(10, plan.vocab_size)
     if not plan.certifies(k):
         return
     try:
-        top, _ = plan.topk(env["rep"], k)
-        if not np.array_equal(top, topk_from_scores(env["scores"], k)):
+        reprs, scores = env["rep"], env["scores"]
+        top, values = plan.topk(reprs, k)
+        tol = plan.table32.rescore_error(
+            np.sqrt(np.einsum("ij,ij->i", reprs, reprs)))[:, None]
+        served = np.take_along_axis(scores, top, axis=1)
+        best = np.take_along_axis(
+            scores, topk_from_scores(scores, k), axis=1)
+        if ((np.diff(np.sort(top, axis=1), axis=1) == 0).any()
+                or (np.abs(values - served) > tol).any()
+                or (np.abs(served - best) > 2.0 * tol).any()):
             raise ValueError("ids differ from topk_from_scores of the "
-                             "score program")
+                             "score program beyond float64 rounding")
     except Exception as exc:
         raise PlanVerificationError(
             f"topk: {type(exc).__name__}: {exc}",
@@ -198,8 +214,9 @@ def verify_plan(plan) -> Optional[Dict[str, List[StepTrace]]]:
     0 across the probes.  On catalogs of at least K whole chunks,
     ``plan.topk`` must select, from the forward probe's
     representations, the ids ``topk_from_scores`` selects from its
-    scores.  An attached ANN index is checked for geometry and
-    searched with the forward probe's representations.
+    scores, up to float64 rounding (:func:`_check_topk`).  An attached
+    ANN index is checked for geometry and searched with the forward
+    probe's representations.
 
     Returns ``{program name: step trace}``, or None for fallback plans
     (a live model graph has no program to verify).  Raises

@@ -5,7 +5,8 @@ from .augmentation import (AugmentationResult, InconsistencyScorer,
 from .encoder import GlobalRelationEncoder, PairConv
 from .gates import GATES, SparseAttentionGate, ThresholdGate
 from .hierarchical import DenoisingResult, HierarchicalDenoising
-from .sparse_ops import row_normalize, sparse_matmul, symmetric_normalize
+from .sparse_ops import (SparseRelation, row_normalize, sparse_matmul,
+                         symmetric_normalize)
 from .ssdrec import SSDRec, SSDRecConfig
 
 __all__ = [
@@ -14,5 +15,5 @@ __all__ = [
     "SelfAugmentation", "InconsistencyScorer", "AugmentationResult",
     "HierarchicalDenoising", "DenoisingResult",
     "GATES", "SparseAttentionGate", "ThresholdGate",
-    "sparse_matmul", "row_normalize", "symmetric_normalize",
+    "SparseRelation", "sparse_matmul", "row_normalize", "symmetric_normalize",
 ]

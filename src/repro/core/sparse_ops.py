@@ -2,8 +2,9 @@
 
 The global relation encoder aggregates neighbor embeddings through fixed
 (non-learnable) sparse relation matrices.  ``sparse_matmul`` provides the
-single primitive needed: ``A @ X`` where ``A`` is a constant sparse matrix
-and ``X`` a dense parameter-dependent tensor.
+single primitive needed: ``A @ X`` where ``A`` is a constant sparse matrix,
+wrapped once in a :class:`SparseRelation`, and ``X`` a dense
+parameter-dependent tensor.
 """
 
 from __future__ import annotations
@@ -27,22 +28,20 @@ class SparseRelation:
         return self.matrix.shape
 
 
-def sparse_matmul(matrix, x: Tensor) -> Tensor:
-    """Differentiable ``matrix @ x`` with a constant sparse ``matrix``.
+def sparse_matmul(relation: SparseRelation, x: Tensor) -> Tensor:
+    """Differentiable ``relation.matrix @ x`` with a constant sparse
+    operator.
 
-    Gradient w.r.t. ``x`` is ``matrix.T @ grad``; ``matrix`` itself never
-    receives gradients (relation weights are data, not parameters).  A
-    :class:`SparseRelation` brings its transpose; a plain sparse matrix
-    is transposed on every call.
+    Gradient w.r.t. ``x`` is ``relation.transposed @ grad``; the
+    operator itself never receives gradients (relation weights are
+    data, not parameters).
     """
     x = ensure_tensor(x)
-    if matrix.shape[1] != x.shape[0]:
+    if relation.shape[1] != x.shape[0]:
         raise ValueError(
-            f"shape mismatch: {matrix.shape} @ {x.shape}")
-    if not isinstance(matrix, SparseRelation):
-        matrix = SparseRelation(matrix)
-    out_data = matrix.matrix @ x.data
-    transposed = matrix.transposed
+            f"shape mismatch: {relation.shape} @ {x.shape}")
+    out_data = relation.matrix @ x.data
+    transposed = relation.transposed
 
     def backward(grad):
         return (transposed @ grad,)

@@ -41,13 +41,18 @@ def _snap(param) -> np.ndarray:
     return np.array(param.data, dtype=np.float64)
 
 
-def _transpose(table: np.ndarray, block: int = 256) -> np.ndarray:
-    """C-contiguous ``table.T``, copied ``block`` rows at a time: one
-    whole-array transposing copy strides through memory and is about 3x
-    slower on a 30k x 32 table."""
+#: Rows per block of :func:`_transpose`'s copy.
+_TRANSPOSE_ROWS = 256
+
+
+def _transpose(table: np.ndarray) -> np.ndarray:
+    """C-contiguous ``table.T``, copied ``_TRANSPOSE_ROWS`` rows at a
+    time: one whole-array transposing copy strides through memory and is
+    about 3x slower on a 30k x 32 table."""
     out = np.empty((table.shape[1], table.shape[0]), dtype=table.dtype)
-    for start in range(0, table.shape[0], block):
-        out[:, start:start + block] = table[start:start + block].T
+    for start in range(0, table.shape[0], _TRANSPOSE_ROWS):
+        stop = start + _TRANSPOSE_ROWS
+        out[:, start:stop] = table[start:stop].T
     return out
 
 
@@ -342,11 +347,13 @@ class FrozenPlan:
         The exact twin of :meth:`ann_topk`: the ids are
         ``topk_from_scores(score(reprs), k)``'s, selected from float32
         scores under an error certificate and re-scored in float64
-        (:class:`~repro.serve.retrieval.Float32Table`).  Rows the
-        certificate does not cover, and every row when :meth:`certifies`
-        is False, go through ``score`` + ``topk_from_scores``.  ``out``
-        may supply a reusable float32 ``(B, V)`` buffer for the
-        certified path.
+        (:class:`~repro.serve.retrieval.Float32Table`).  Items whose
+        float64 scores lie within float64 rounding of each other
+        (``table32.rescore_error``) may come back in either order.  Rows
+        the certificate does not cover, and every row when
+        :meth:`certifies` is False, go through ``score`` +
+        ``topk_from_scores``.  ``out`` may supply a reusable float32
+        ``(B, V)`` buffer; only the certified path uses it.
         """
         reprs = np.asarray(reprs, dtype=np.float64)
         k = min(k, self.vocab_size)

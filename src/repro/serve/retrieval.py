@@ -38,6 +38,14 @@ row-wise dot against the item table and ordered by ``(-score, index)``.
 Rows whose representation or float32 scores could be non-finite, and
 catalogs with fewer than K whole chunks, are left to the float64
 ``score`` + :func:`topk_from_scores` path.
+
+The ids are those :func:`topk_from_scores` picks from the score
+program's float64 scores up to float64 rounding: the re-score is a
+row-wise dot and the score program a matrix product, which may sum the
+same ``d`` terms in another order and differ by a few ulps
+(:meth:`Float32Table.rescore_error` bounds it).  Items whose float64
+scores lie that close to each other may come back in either order, at
+the K-th boundary included; everywhere else the ids are equal.
 """
 
 from __future__ import annotations
@@ -175,6 +183,11 @@ class Float32Table:
                       + 2.0 * _TINY32 * np.sqrt(dim))
         self.intercept = 2.0 * _TINY32 * (dim + np.sqrt(dim)
                                           * self.max_norm)
+        # Two float64 sums of one dot product, each within
+        # γ_d·‖q‖·‖x‖ (and 2·d·2⁻¹⁰⁷⁵ of gradual underflow) of the
+        # exact value.
+        self.slope64 = 2.0 * gamma(_U64) * self.max_norm * (1.0 + 2.0 ** -20)
+        self.intercept64 = 4.0 * dim * 2.0 ** -1075
 
     def certifies(self, k: int) -> bool:
         """True when :meth:`topk` serves ``k`` (at least K whole chunks
@@ -186,6 +199,13 @@ class Float32Table:
         """Bound on ``|s32 - s64|`` for representations of norm
         ``norms``, ``(B,)``."""
         return self.slope * norms + self.intercept
+
+    def rescore_error(self, norms: np.ndarray) -> np.ndarray:
+        """Bound on how far :meth:`topk`'s float64 re-score may differ
+        from the score program's float64 product for representations of
+        norm ``norms``, ``(B,)``: the same dot product, summed in
+        another order."""
+        return self.slope64 * norms + self.intercept64
 
     def topk(self, reprs: np.ndarray, k: int,
              out: Optional[np.ndarray] = None) -> tuple:

@@ -418,9 +418,11 @@ class RecommendService:
             return self.plan.ann_topk(reprs, self.k, self.nprobe)
         if self.plan.certifies(self.k):
             return self.plan.topk(reprs, self.k,
-                                  out=self._buffer(len(reprs), np.float32))
-        scores = self.plan.score(reprs,
-                                 out=self._buffer(len(reprs), np.float64))
+                                  out=self._buffer(len(reprs)))
+        # ``plan.topk``'s own fallback, spelled out here only because
+        # ``bench/workloads.py`` traces this module's ``topk_from_scores``
+        # by name; once the trace wraps ``FrozenPlan.topk`` this can go.
+        scores = self.plan.score(reprs)
         top = topk_from_scores(scores, self.k)
         return top, np.take_along_axis(scores, top, axis=1)
 
@@ -432,21 +434,20 @@ class RecommendService:
                               error=error)
 
     # ------------------------------------------------------------------
-    def _buffer(self, rows: int, dtype) -> np.ndarray:
-        """One ``(B, V)`` score buffer reused across flushes: float32
-        for ``plan.topk``, float64 for ``plan.score``.
+    def _buffer(self, rows: int) -> np.ndarray:
+        """One float32 ``(B, V)`` score buffer for ``plan.topk``, reused
+        across flushes.
 
-        A fresh buffer per flush is large (3.8 MB in float32 for 32 rows
-        of a 30k catalog), and whether the allocator keeps such blocks or
+        A fresh buffer per flush is large (3.8 MB for 32 rows of a 30k
+        catalog), and whether the allocator keeps such blocks or
         returns them to the OS, to be faulted in page by page on the
         next flush, depends on what the process allocated before;
         reusing one makes the steady state independent of that history.
         Callers copy what they keep before the next flush.
         """
         vocab = self.plan.vocab_size
-        if (self._scores.shape[0] < rows or self._scores.shape[1] != vocab
-                or self._scores.dtype != dtype):
-            self._scores = np.empty((rows, vocab), dtype=dtype)
+        if self._scores.shape[0] < rows or self._scores.shape[1] != vocab:
+            self._scores = np.empty((rows, vocab), dtype=np.float32)
         return self._scores[:rows]
 
     def _encode_chunk(self, rows) -> Tuple[np.ndarray, Optional[list]]:

@@ -258,6 +258,31 @@ class TestCorruptedPlans:
             verify_plan(plan)
         assert excinfo.value.plan == "SASRec topk"
 
+    def test_topk_order_is_checked_up_to_float64_rounding(self,
+                                                          monkeypatch):
+        """The re-score and the score program may sum a dot product in
+        different orders, so items within ``table32.rescore_error`` of
+        each other may come back in either order; swapping the best two
+        passes only when their gap is within that bound."""
+        from repro.models import SASRec
+        from repro.serve.retrieval import CHUNK
+
+        plan = freeze(SASRec(num_items=12 * CHUNK, dim=DIM,
+                             max_len=MAX_LEN, rng=np.random.default_rng(4)))
+        exact = plan.topk
+
+        def swapped(reprs, k, out=None):
+            top, values = exact(reprs, k, out)
+            order = [1, 0, *range(2, k)]
+            return top[:, order], values[:, order]
+
+        monkeypatch.setattr(plan, "topk", swapped)
+        with pytest.raises(PlanVerificationError, match="topk"):
+            verify_plan(plan)
+        monkeypatch.setattr(plan.table32, "rescore_error",
+                            lambda norms: np.full(len(norms), 1e3))
+        verify_plan(plan)
+
 
 class TestServiceVerifyWiring:
     def _corrupt(self):

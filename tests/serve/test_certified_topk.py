@@ -2,7 +2,10 @@
 
 Every case compares against the float64 oracle the plan already has,
 ``topk_from_scores(plan.score(reprs))``: ids exactly, scores within
-1e-12.  Each fixture also pins which rows the certificate covers, so a
+1e-12.  (The guarantee allows items whose float64 scores lie within
+float64 rounding of each other in either order; exact ties, as between
+duplicate rows, always order by id, and no case holds closer distinct
+scores.)  Each fixture also pins which rows the certificate covers, so a
 case meant for the float32 path cannot pass through the fallback.
 """
 
