@@ -11,7 +11,8 @@ import pytest
 from repro.data import generate
 from repro.graph import build_multi_relation_graph
 from repro.nn import (GRU, LSTM, BiLSTM, Tensor, TransformerEncoder,
-                      gumbel_softmax, reference, scaled_dot_product_attention)
+                      gumbel_softmax, kernels, reference,
+                      scaled_dot_product_attention)
 from repro.nn import functional as F
 
 RNG = np.random.default_rng(0)
@@ -213,6 +214,37 @@ def test_micro_gru_packed(benchmark):
 def test_micro_gru_unmasked(benchmark):
     # The same batch with every row stepping through its padding.
     _gru_forward_backward(benchmark, packed=False)
+
+
+def _gru_readout_backward(benchmark, readout):
+    gru, x, mask = _gru_training_batch()
+    grad = np.random.default_rng(5).normal(size=(x.shape[0], 32))
+    positions = np.arange(x.shape[0]), kernels.last_positions(mask)
+
+    def step():
+        gru.zero_grad()
+        x.grad = None
+        if readout:
+            states = gru(x, mask=mask, readout=True)
+        else:
+            outs, _ = gru(x, mask=mask)
+            states = outs[positions]
+        states.backward(grad)
+
+    benchmark(step)
+
+
+@pytest.mark.benchmark(group="gru-readout")
+def test_micro_gru_readout(benchmark):
+    # GRU4Rec's last layer: each row's state read from the recurrence,
+    # BPTT seeded at its readout step.
+    _gru_readout_backward(benchmark, readout=True)
+
+
+@pytest.mark.benchmark(group="gru-readout")
+def test_micro_gru_full_output_last_state(benchmark):
+    # The same states through the (B, L, d) output and a last_state index.
+    _gru_readout_backward(benchmark, readout=False)
 
 
 @pytest.mark.benchmark(group="softmax")

@@ -29,6 +29,9 @@ class GRU4Rec(SequentialRecommender):
 
     def encode_states(self, states: Tensor, mask: np.ndarray) -> Tensor:
         hidden = self.dropout(states)
-        for gru in self.layers:
+        *lower, last = self.layers
+        for gru in lower:
             hidden, _ = gru(hidden, mask=mask)
-        return self.output_proj(self.last_state(hidden, mask))
+        # The last layer reads each row's state at ``last_state``'s
+        # position straight from its recurrence.
+        return self.output_proj(last(hidden, mask=mask, readout=True))

@@ -203,7 +203,8 @@ def gru_unroll(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray,
                b_ih: np.ndarray, b_hh: np.ndarray,
                h0: Optional[np.ndarray] = None,
                step_mask: Optional[np.ndarray] = None,
-               starts: Optional[np.ndarray] = None) -> tuple:
+               starts: Optional[np.ndarray] = None,
+               readout: Optional[np.ndarray] = None) -> tuple:
     """The GRU recurrence over ``x`` ``(B, L, in)`` from ``h0`` ``(B, d)``
     (zeros when ``None``), stepping :func:`gru_step`.
 
@@ -212,6 +213,11 @@ def gru_unroll(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray,
     loop the batch is the contiguous last axis, so each step's state and
     gates are ``(d, B)`` rows.  ``step_mask`` (bool ``(B, L)``) holds a
     row's state wherever it is False.
+
+    ``readout`` (``(B,)`` positions, as :func:`last_positions` reads them
+    off a mask) makes ``out`` each row's ``(B, d)`` state at its
+    position, copied from the tape's state buffer; the ``(B, L, d)``
+    states are then never built.
 
     ``starts`` (``(B,)``, each row's first real position, as
     :func:`first_positions` reads it off a mask) packs the left
@@ -265,8 +271,10 @@ def gru_unroll(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray,
             gru_step(gates, h, w_hh, b_hh, out=h_new, overwrite_gi=True)
             if step_mask is not None:
                 np.copyto(h_new, h, where=~step_mask[:, t, None])
-        out = np.ascontiguousarray(hs_b[1:].transpose(1, 0, 2))
-        return out, GruTape(x_tm, acts, hs)
+        tape = GruTape(x_tm, acts, hs)
+        if readout is not None:
+            return _read_states(hs, readout), tape
+        return np.ascontiguousarray(hs_b[1:].transpose(1, 0, 2)), tape
 
     order, widths = packing
     cells = (np.concatenate([order[:w] for w in widths]),
@@ -293,7 +301,17 @@ def gru_unroll(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray,
                      overwrite_gi=True)
         if w < batch:
             hs[t + 1, :, w:] = h_pad[t + 1, :, :1]
-    out = np.empty((batch, length, d), dtype=dtype)
-    out[order] = hs_b[1:].transpose(1, 0, 2)
-    return out, GruTape(x_cols, acts, hs, order, cells,
-                        (x_pad, pad_acts, h_pad))
+    tape = GruTape(x_cols, acts, hs, order, cells, (x_pad, pad_acts, h_pad))
+    if readout is not None:
+        out = np.empty((batch, d), dtype=dtype)
+        out[order] = _read_states(hs, readout[order])
+    else:
+        out = np.empty((batch, length, d), dtype=dtype)
+        out[order] = hs_b[1:].transpose(1, 0, 2)
+    return out, tape
+
+
+def _read_states(hs: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Column ``c``'s state after step ``positions[c]`` of an ``(L+1, d,
+    B)`` state buffer, as ``(B, d)`` rows."""
+    return hs[positions + 1, :, np.arange(hs.shape[2])]

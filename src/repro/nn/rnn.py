@@ -294,7 +294,8 @@ def _gru_step_backward(a: np.ndarray, h: np.ndarray, gh: np.ndarray,
 
 def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
                  b_hh: Tensor, hidden_dim: int, h0: Optional[Tensor] = None,
-                 mask: Optional[np.ndarray] = None) -> Tensor:
+                 mask: Optional[np.ndarray] = None,
+                 readout: bool = False) -> Tensor:
     """The full GRU recurrence as a single graph node; returns ``(B, L, d)``
     hidden states (``[:, -1]`` is the final state).
 
@@ -316,6 +317,16 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
     most-padded row, the others get zero.  That sum is what a shared
     upstream needs — a second GRU layer's own trajectory, or the one
     embedding row of the padding item.  A mask takes no ``h0``.
+
+    ``readout`` returns only each row's ``(B, d)`` state at its last
+    valid position (:func:`repro.nn.kernels.last_positions` of ``mask``;
+    ``L - 1`` without one), read from the recurrence's state buffer: the
+    ``(B, L, d)`` states are never built.  Backward then adds each row's
+    one gradient at its readout step instead of a ``(B, L, d)`` output
+    gradient at every step.  Forward and gradients equal those of
+    ``last_state(gru_sequence(...), mask)`` bit for bit: the full
+    output's gradient is zero away from the readout positions, and
+    adding those zeros changes no value.
     """
     d = hidden_dim
     x = ensure_tensor(x)
@@ -323,10 +334,15 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
     w_ih_d, w_hh_d = w_ih.data, w_hh.data
     if h0 is not None:
         h0 = ensure_tensor(h0)
+    positions = None
+    if readout:
+        positions = (kernels.last_positions(mask) if mask is not None
+                     else np.full(batch, length - 1, dtype=np.int64))
     out, tape = kernels.gru_unroll(
         x.data, w_ih_d, w_hh_d, b_ih.data, b_hh.data,
         None if h0 is None else h0.data,
-        starts=None if mask is None else kernels.first_positions(mask))
+        starts=None if mask is None else kernels.first_positions(mask),
+        readout=positions)
     hs, order = tape.hs, tape.order
     widths = [a.shape[1] for a in tape.acts]
     dtype = out.dtype
@@ -340,6 +356,11 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
         # gradients, then their state gradient at the step they start.
         b_n = b_hh.data[2 * d:, None]
         g_rows = grad if order is None else grad[order]
+        if readout:
+            # The columns reading out at step t: by_step[cuts[t]:cuts[t+1]].
+            col_pos = positions if order is None else positions[order]
+            by_step = np.argsort(col_pos, kind="stable")
+            cuts = np.searchsorted(col_pos[by_step], np.arange(length + 1))
         gh = np.zeros((d, batch), dtype=dtype)
         carry, s1, s2 = (np.empty_like(gh) for _ in range(3))
         gh_nr = np.empty((length, d, batch), dtype=dtype)
@@ -354,14 +375,28 @@ def gru_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor,
             p_carry, p_s1, p_s2 = (np.empty_like(gp) for _ in range(3))
         for t in range(length - 1, -1, -1):
             w = widths[t]
+            if readout:
+                seeds = by_step[cuts[t]:cuts[t + 1]]
+                idle = seeds[seeds >= w]
+                seeds = seeds[seeds < w]
             if w:
-                gh[:, :w] += g_rows[:w, t].T
+                if not readout:
+                    gh[:, :w] += g_rows[:w, t].T
+                elif seeds.size:
+                    gh[:, seeds] += g_rows[seeds].T
                 _gru_step_backward(tape.acts[t], hs[t, :, :w], gh[:, :w],
                                    gh_nr[t, :, :w], carry[:, :w],
                                    s1[:, :w], s2[:, :w], w_hh_d, b_n)
                 gh, carry = carry, gh
             if t < pad_len:
-                gp[:, 0] += ones[w:] @ g_rows[w:, t]
+                if not readout:
+                    gp[:, 0] += ones[w:] @ g_rows[w:, t]
+                elif idle.size:
+                    # The full output's (B - w, d) gradient block at t,
+                    # summed by the same product.
+                    block = np.zeros((batch - w, d), dtype=dtype)
+                    block[idle - w] += g_rows[idle]
+                    gp[:, 0] += ones[w:] @ block
                 _gru_step_backward(p_acts[t], p_hs[t], gp, p_nr[t], p_carry,
                                    p_s1, p_s2, w_hh_d, b_n)
                 gp, p_carry = p_carry, gp
@@ -450,17 +485,19 @@ class GRU(Module):
         self.hidden_dim = hidden_dim
 
     def forward(self, x: Tensor, h0: Optional[Tensor] = None,
-                mask: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
+                mask: Optional[np.ndarray] = None, readout: bool = False):
         """Return ``(outputs, last_hidden)``; outputs is (B, L, H).
 
         ``mask`` (bool ``(B, L)``) packs the left padding, as
-        :func:`gru_sequence` describes; the outputs do not change.
+        :func:`gru_sequence` describes; the outputs do not change.  With
+        ``readout`` the result is only the ``(B, H)`` state at each row's
+        last valid position (:func:`gru_sequence`'s readout).
         """
         x = ensure_tensor(x)
         cell = self.cell
         outputs = gru_sequence(x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh,
-                               self.hidden_dim, h0, mask)
-        return outputs, outputs[:, -1, :]
+                               self.hidden_dim, h0, mask, readout)
+        return outputs if readout else (outputs, outputs[:, -1, :])
 
 
 class LSTM(Module):

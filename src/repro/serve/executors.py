@@ -37,8 +37,12 @@ Parity notes
   batched matmul turns into a matrix-vector product that rounds
   differently from the full encode's matrix product (by ~1e-15); with
   two every array stays byte-identical to the full-width encode.
-* ``gru_forward(step_mask=...)`` (tight padding) deliberately steps
-  only through valid positions, which the graph path does not do.
+* ``gru_forward(tight=True)`` (tight padding) deliberately steps only
+  through valid positions, which the graph path does not do.
+* ``gru_forward(readout=True)`` returns each row's state at its
+  ``last_state`` position, as GRU4Rec's last layer reads it in
+  training (``GRU(readout=True)``), and never builds the ``(B, L, d)``
+  states.
 * Masked fills use :data:`repro.nn.kernels.NEG_INF`.
 """
 
@@ -216,22 +220,29 @@ def transformer_step_kv(x: np.ndarray, lengths: np.ndarray, *kv: np.ndarray,
 # Recurrence
 # ---------------------------------------------------------------------------
 
-def gru_forward(x: np.ndarray, step_mask: Optional[np.ndarray] = None, *,
+def gru_forward(x: np.ndarray, mask: Optional[np.ndarray] = None, *,
                 w_ih: np.ndarray, w_hh: np.ndarray, b_ih: np.ndarray,
-                b_hh: np.ndarray) -> np.ndarray:
+                b_hh: np.ndarray, tight: bool = False,
+                readout: bool = False) -> np.ndarray:
     """Full GRU recurrence: ``gru_sequence``'s forward,
     :func:`repro.nn.kernels.gru_unroll` over the shared
     :func:`repro.nn.kernels.gru_step`.  Inside the loop the state is
     held transposed, as ``(d, B)`` rows; ``x`` and the returned states
     are ``(B, L, d)``.
 
-    ``step_mask`` (bool ``(B, L)``) enables *padding-free* stepping: the
-    hidden state only updates where the mask is True, so a left-padded
+    ``tight`` enables *padding-free* stepping: the hidden state only
+    updates where ``mask`` (bool ``(B, L)``) is True, so a left-padded
     row produces exactly the states of its unpadded sequence.  This mode
     deliberately diverges from the graph path (which steps through
     padding) and is used only by ``RecommendService(padding="tight")``.
+
+    ``readout`` returns only each row's ``(B, d)`` state at its last
+    valid position in ``mask`` (``last_state``'s rule), read from the
+    recurrence's state buffer as ``gru_sequence(readout=True)`` does.
     """
-    return gru_unroll(x, w_ih, w_hh, b_ih, b_hh, step_mask=step_mask)[0]
+    return gru_unroll(x, w_ih, w_hh, b_ih, b_hh,
+                      step_mask=mask if tight else None,
+                      readout=last_positions(mask) if readout else None)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -498,17 +498,26 @@ class GRU4RecPlan(FrozenPlan):
         current, below = "states", "x"
         for index, gru in enumerate(grus):
             hidden, final = f"h{index}", self.state_names[index]
-            encode.append(step("gru_forward", [current], [hidden], **gru))
-            tight += [step("gru_forward", [current, "mask"], [hidden], **gru),
-                      step("take_last", [hidden], [final])]
+            if index < len(grus) - 1:
+                encode.append(step("gru_forward", [current], [hidden], **gru))
+                tight += [step("gru_forward", [current, "mask"], [hidden],
+                               tight=True, **gru),
+                          step("take_last", [hidden], [final])]
+            else:
+                # The last layer reads each row's state at its last valid
+                # position straight from the recurrence.  Tight stepping
+                # holds the state past it, so that is also the final one.
+                encode.append(step("gru_forward", [current, "mask"],
+                                   [final], readout=True, **gru))
+                tight.append(step("gru_forward", [current, "mask"], [final],
+                                  tight=True, readout=True, **gru))
             append += [step("linear", [below], ["gi"], weight=gru["w_ih"],
                             bias=gru["b_ih"]),
                        step("gru_step", ["gi", final], [final],
                             w_hh=gru["w_hh"], b_hh=gru["b_hh"])]
             current, below = hidden, final
         for program in (encode, tight):
-            program += [step("last_state", [current, "mask"], ["last"]),
-                        step("linear", ["last"], ["rep"], **head)]
+            program.append(step("linear", [final], ["rep"], **head))
         self.programs.update(
             encode=encode, tight=tight, append=append,
             readout=[step("linear", [below], ["rep"], **head)])
@@ -545,7 +554,7 @@ class NARMPlan(FrozenPlan):
                     *attend],
             tight=[self._embed(),
                    step("gru_forward", ["states", "mask"], ["hidden"],
-                        **gru),
+                        tight=True, **gru),
                    *attend])
 
 

@@ -650,6 +650,121 @@ class TestPackedRecurrence:
             gru(Tensor(x), Tensor(np.zeros((2, 3))), mask=mask)
 
 
+class TestReadout:
+    """``gru_sequence(readout=True)`` returns each row's state at its
+    ``last_state`` position, read from the recurrence: the forward and
+    all five gradients are byte-identical to ``last_state`` over the full
+    ``(B, L, d)`` output."""
+
+    LENGTH, DIM = 12, 8
+
+    def make_case(self, case, rng):
+        """``(x, mask, packed)`` for one batch shape."""
+        length, dim = self.LENGTH, self.DIM
+        rows = {"packed": 64, "five_rows": 5, "unpacked": 12, "demoted": 64,
+                "all_padding": 64, "holes": 64}[case]
+        starts = rng.integers(1, length, size=rows)
+        starts[0] = length - 1
+        if case == "unpacked":
+            starts[1] = 0                     # 12 rows: not a multiple of 8
+        if case == "all_padding":
+            starts[-3:] = length              # no item: readout at 0
+        x, mask = left_padded(rng, starts, length, dim)
+        if case == "demoted":
+            x[1, 0] = 1.0                     # not the shared padding
+        if case == "holes":                   # readout before L - 1
+            mask &= rng.random(mask.shape) > 0.3
+            mask[:4, -3:] = False
+        return x, mask, case != "unpacked"
+
+    def run(self, x0, mask, readout):
+        gru, _ = TestPackedRecurrence.weights(self.DIM, seed=2)
+        cell = gru.cell
+        x = Tensor(x0.copy(), requires_grad=True)
+        if readout:
+            out = gru(x, mask=mask, readout=True)
+        else:
+            hidden, _ = gru(x, mask=mask)
+            out = hidden[np.arange(len(x0)), kernels.last_positions(mask), :]
+        w = Tensor(np.random.default_rng(7).normal(size=out.shape))
+        (out * w).sum().backward()
+        return [out.data, x.grad, cell.w_ih.grad, cell.w_hh.grad,
+                cell.b_ih.grad, cell.b_hh.grad]
+
+    @pytest.mark.parametrize("case", ["packed", "five_rows", "unpacked",
+                                      "demoted", "all_padding", "holes"])
+    def test_equals_last_state_of_the_full_output_bytewise(self, case):
+        x, mask, packed = self.make_case(case, np.random.default_rng(3))
+        _, args = TestPackedRecurrence.weights(self.DIM, seed=2)
+        positions = kernels.last_positions(mask)
+        states, tape = kernels.gru_unroll(
+            x, *args, starts=kernels.first_positions(mask),
+            readout=positions)
+        assert (tape.order is not None) == packed
+        if case == "demoted":
+            assert 1 in tape.order[:tape.acts[0].shape[1]]
+        if case == "all_padding":
+            # Their readout step runs only on the padding trajectory.
+            assert (positions[-3:] == 0).all()
+            assert tape.acts[0].shape[1] <= len(x) - 3
+        if case == "holes":
+            assert (positions[:4] < self.LENGTH - 3).all()
+        got, want = self.run(x, mask, True), self.run(x, mask, False)
+        np.testing.assert_array_equal(states, want[0])
+        names = ["forward", "x", "w_ih", "w_hh", "b_ih", "b_hh"]
+        for name, g, r in zip(names, got, want):
+            assert g.dtype == r.dtype and g.shape == r.shape, name
+            assert g.tobytes() == r.tobytes(), name
+
+    def test_without_a_mask_reads_the_last_step(self):
+        x = np.random.default_rng(0).normal(size=(5, 4, 3))
+        gru = GRU(3, 3, rng=np.random.default_rng(0))
+        _, last = gru(Tensor(x))
+        np.testing.assert_array_equal(
+            gru(Tensor(x), readout=True).data, last.data)
+
+    def test_gru4rec_sampled_loss_gradients_equal_the_full_output(self):
+        from repro.data.batching import Batch, pad_sequences
+        from repro.models import GRU4Rec
+
+        length, dim, rows = 12, 8, 64
+        rng = np.random.default_rng(8)
+        seqs = [list(rng.integers(1, 41, size=rng.integers(1, length + 1)))
+                for _ in range(rows)]
+        items, mask, lengths = pad_sequences(seqs, max_len=length)
+        batch = Batch(users=np.arange(rows), items=items, mask=mask,
+                      lengths=lengths, targets=rng.integers(1, 41, size=rows))
+
+        def gradients(full_output):
+            model = GRU4Rec(num_items=40, dim=dim, max_len=length,
+                            num_layers=2, rng=np.random.default_rng(6))
+            bias_rng = np.random.default_rng(9)
+            for gru in model.layers:            # a nonzero trajectory
+                for bias in (gru.cell.b_ih, gru.cell.b_hh):
+                    bias.data[...] = bias_rng.normal(scale=0.5,
+                                                     size=bias.shape)
+            if full_output:
+                def encode_states(states, mask):
+                    hidden = model.dropout(states)
+                    for gru in model.layers:
+                        hidden, _ = gru(hidden, mask=mask)
+                    return model.output_proj(model.last_state(hidden, mask))
+                model.encode_states = encode_states
+            model.train()
+            loss = model.sampled_loss(batch, num_negatives=16)
+            loss.backward()
+            return loss.data, {name: p.grad
+                               for name, p in model.named_parameters()}
+
+        loss, got = gradients(full_output=False)
+        want_loss, want = gradients(full_output=True)
+        assert loss.tobytes() == want_loss.tobytes()
+        assert got.keys() == want.keys()
+        for name, grad in got.items():
+            assert grad is not None, name
+            assert grad.tobytes() == want[name].tobytes(), name
+
+
 class TestFiniteDifferenceParity:
     """Fused gradients match central finite differences to 1e-6."""
 

@@ -16,7 +16,7 @@ from repro.data.batching import pad_sequences
 from repro.models import BACKBONES, GRU4Rec, SASRec, SRGNN
 from repro.nn import GRUCell, Module, Tensor, kernels, no_grad
 from repro.serve import FallbackPlan, executors, freeze
-from repro.serve.program import OPS
+from repro.serve.program import OPS, run_step
 
 DIM = 16
 MAX_LEN = 12
@@ -141,6 +141,51 @@ def trailing_pad_batch(rng, rows):
     items = np.where(mask, rng.integers(1, NUM_ITEMS + 1, size=mask.shape),
                      0)
     return items, mask
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("rows", BATCH_SIZES)
+def test_gru4rec_parity_when_the_readout_row_is_not_last(rows, layers):
+    """The last GRU layer reads its states at ``last_state``'s position
+    in the graph and in the plan alike."""
+    model = with_trained_gru_biases(GRU4Rec(
+        num_items=NUM_ITEMS, dim=DIM, max_len=MAX_LEN, num_layers=layers,
+        rng=np.random.default_rng(3)))
+    items, mask = trailing_pad_batch(np.random.default_rng(40 + rows), rows)
+    assert not mask[:, -1].any()
+    assert_encode_parity(model, items, mask)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_gru4rec_tight_readout_equals_the_full_state_composition(layers):
+    """Tight encode reads the last layer's state from its recurrence;
+    rep and per-layer states equal ``last_state`` / ``take_last`` over
+    the full tight states, also with holes and an empty row."""
+    model = with_trained_gru_biases(GRU4Rec(
+        num_items=NUM_ITEMS, dim=DIM, max_len=MAX_LEN, num_layers=layers,
+        rng=np.random.default_rng(3)))
+    plan = freeze(model)
+    rng = np.random.default_rng(9)
+    items, mask = trailing_pad_batch(rng, 16)
+    mask[2] = False                                   # no item at all
+    mask[3, ::2] = False                              # holes
+    items = np.where(mask, items, 0)
+    rep, state = plan.encode_tight_with_state(items, mask)
+    env = {"items": items, "mask": mask}
+    run_step(plan.programs["tight"][0], env)
+    hidden, finals = env["states"], []
+    for gru in model.layers:
+        weights = {name: getattr(gru.cell, name).data
+                   for name in ("w_ih", "w_hh", "b_ih", "b_hh")}
+        hidden = executors.gru_forward(hidden, mask, tight=True, **weights)
+        finals.append(executors.take_last(hidden))
+    last = executors.last_state(hidden, mask)
+    np.testing.assert_array_equal(last, finals[-1])
+    for got, want in zip(state, finals):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        rep, kernels.linear(last, model.output_proj.weight.data,
+                            model.output_proj.bias.data))
 
 
 @pytest.mark.parametrize("rows", BATCH_SIZES)
